@@ -14,6 +14,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sdbc.config import load_config  # noqa: E402
 from sdbc.evolution import ControllerSpec, build_controller  # noqa: E402
 from sdbc.runio import load_genome_file  # noqa: E402
 from sdbc.tasks import make_task  # noqa: E402
@@ -44,7 +45,10 @@ def main() -> int:
     args = ap.parse_args()
 
     header, weights = load_genome_file(args.genome)
-    task = make_task(header["task"])
+    # the run directory's config holds the task overrides the genome evolved under
+    run_config = Path(args.genome).parent / "config.yaml"
+    task_params = load_config(run_config).task_params if run_config.exists() else {}
+    task = make_task(header["task"], task_params)
     spec = ControllerSpec(int(header["inputs"]), int(header["hidden"]), int(header["outputs"]))
     seed = args.seed
     if seed is None:

@@ -86,7 +86,7 @@ def aggregate_batch(
     """
     t_axis = np.arange(features.shape[0])[:, None]
     valid = t_axis < steps[None, :]
-    means = (features * valid[:, :, None]).sum(axis=0) / steps[:, None]
+    means = np.sum(features, axis=0, where=valid[:, :, None]) / steps[:, None]
     finals = features[steps - 1, np.arange(features.shape[1])]
     duration = steps[:, None] / max_steps
     return np.concatenate([means, finals, duration], axis=1)

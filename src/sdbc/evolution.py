@@ -46,41 +46,9 @@ class ControllerSpec:
         return (self.inputs + 1) * self.hidden + (self.hidden + 1) * self.outputs
 
 
-class MlpController:
-    """tanh hidden layer, logistic output scaled to the actuator range."""
-
-    def __init__(self, w1: np.ndarray, w2: np.ndarray, out_low: float, out_high: float):
-        self.w1 = w1
-        self.w2 = w2
-        self.out_low = out_low
-        self.out_high = out_high
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        h = np.tanh(x @ self.w1[:, :-1].T + self.w1[:, -1])
-        o = h @ self.w2[:, :-1].T + self.w2[:, -1]
-        logistic = 1.0 / (1.0 + np.exp(-o))
-        return self.out_low + (self.out_high - self.out_low) * logistic
-
-    def act(self, sensors: Sequence[float]) -> tuple[float, ...]:
-        """Single-robot convenience: sensor tuple to effector tuple."""
-        return tuple(self(np.asarray(sensors, dtype=float)[None, :])[0])
-
-
-def build_controller(genome: np.ndarray, spec: ControllerSpec) -> MlpController:
-    """Deterministic genome-to-network construction."""
-    g = np.asarray(genome, dtype=float)
-    if g.shape != (spec.genome_length,):
-        raise ValueError(
-            f"genome length {g.shape} does not match spec ({spec.genome_length},)"
-        )
-    n1 = (spec.inputs + 1) * spec.hidden
-    w1 = g[:n1].reshape(spec.hidden, spec.inputs + 1)
-    w2 = g[n1:].reshape(spec.outputs, spec.hidden + 1)
-    return MlpController(w1, w2, spec.out_low, spec.out_high)
-
-
 class StackedControllers:
-    """Many genomes driving disjoint blocks of one big trial batch.
+    """Many genomes driving disjoint blocks of one big trial batch; each a
+    tanh hidden layer with a logistic output scaled to the actuator range.
 
     Sensor rows arrive as (K * M, inputs) with individual k owning rows
     [k*M, (k+1)*M); each block goes through its own network.  Numerically
@@ -108,6 +76,27 @@ class StackedControllers:
         logistic = 1.0 / (1.0 + np.exp(-o))
         out = self.out_low + (self.out_high - self.out_low) * logistic
         return out.reshape(self.k * m, -1)
+
+    def act(self, sensors: Sequence[float]) -> tuple[float, ...]:
+        """Single-robot convenience for one network: sensor tuple to
+        effector tuple."""
+        if self.k != 1:
+            raise ValueError("act needs exactly one network")
+        return tuple(self(np.asarray(sensors, dtype=float)[None, :])[0])
+
+
+def build_controller(genome: np.ndarray, spec: ControllerSpec) -> StackedControllers:
+    """Deterministic genome-to-network construction.
+
+    The network is the one-genome case of the evaluation path, so a
+    replayed trial reproduces its logged fitness bit for bit.
+    """
+    g = np.asarray(genome, dtype=float)
+    if g.shape != (spec.genome_length,):
+        raise ValueError(
+            f"genome length {g.shape} does not match spec ({spec.genome_length},)"
+        )
+    return StackedControllers(g[None, :], spec)
 
 
 def mutate(
@@ -198,7 +187,7 @@ def evaluate_population(
         raise ValueError("every genome needs the same positive trial count")
     controller = StackedControllers(genomes, spec)
     flat_seeds = [s for seeds in seeds_per_genome for s in seeds]
-    batch = task.simulate(controller, flat_seeds)
+    batch = task.simulate(controller, flat_seeds, record=False)
     schema = task.char_schema()
     raw = ch.aggregate_batch(batch.features, batch.steps, task.max_steps)
     results = []

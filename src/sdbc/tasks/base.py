@@ -1,11 +1,12 @@
 """Shared machinery for the benchmark tasks.
 
 Each task advances a whole batch of trials in lockstep (one controller,
-many seeded initial conditions), records the raw per-step state, and
-derives the per-step behaviour features from the record afterwards, fully
-vectorised.  The formal snapshot adapter rebuilds entity groups from the
-same record, so the fast path can be checked against the reference
-extractor.
+many seeded initial conditions) and writes each step's behaviour features,
+fully vectorised, from the batch's current (B, N) state right after that
+step's update; task-specific characterisations accumulate as running sums.
+Raw per-step state is kept only when `simulate(..., record=True)` asks for
+it.  The formal snapshot adapter rebuilds entity groups from that record,
+so the fast path can be checked against the reference extractor.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ class TrialBatch:
 
     steps: np.ndarray      # (B,) elapsed steps per trial
     fitness: np.ndarray    # (B,)
-    features: np.ndarray   # (T, B, F) per-step features, carry-forward applied
+    features: np.ndarray   # (T, B, F) features written each step, carry-forward applied
     ts_chars: np.ndarray   # (B, 4) task-specific characterisation per trial
-    record: dict | None = None  # per-step state arrays when recording
+    record: dict | None = None  # (T, ...) per-step state arrays, only with record=True
 
 
 class Task:
@@ -56,7 +57,7 @@ class Task:
         return characterisation_schema(self.feature_names())
 
     def simulate(
-        self, controller: Controller, seeds: Sequence[int], record: bool = False
+        self, controller: Controller, seeds: Sequence[int], record: bool = True
     ) -> TrialBatch:
         raise NotImplementedError
 
@@ -65,17 +66,30 @@ class Task:
         raise NotImplementedError
 
 
-def carry_forward(values: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """Replace undefined entries with the last defined value in their column.
+def write_feature_row(
+    features: np.ndarray, t: int, names: Sequence[str], columns: dict
+) -> None:
+    """Fill step `t`'s (B, F) row of `features` in schema order.
 
-    `values` and `defined` are (T, B); entries with no defined predecessor
-    become 0.  Undefined slots in `values` may hold anything (NaN included).
+    `columns` maps every name in `names` to its (B,) values, or to a
+    (values, defined) pair for a feature that the group contents can leave
+    undefined.  An undefined entry carries forward the value of row t-1 in
+    its column, or 0 at t = 0.
     """
-    t = values.shape[0]
-    idx = np.where(defined, np.arange(t)[:, None], -1)
-    idx = np.maximum.accumulate(idx, axis=0)
-    padded = np.vstack([np.zeros((1, values.shape[1])), np.where(defined, values, 0.0)])
-    return np.take_along_axis(padded, idx + 1, axis=0)
+    row = features[t]
+    for k, name in enumerate(names):
+        column = columns[name]
+        if isinstance(column, tuple):
+            values, defined = column
+            column = np.where(defined, values, features[t - 1, :, k] if t else 0.0)
+        row[:, k] = column
+
+
+def stack_record(frames: list[dict], steps: np.ndarray) -> dict:
+    """Per-step state dicts to one dict of (T, ...) arrays, plus `steps`."""
+    rec = {key: np.stack([f[key] for f in frames]) for key in frames[0]}
+    rec["steps"] = steps
+    return rec
 
 
 def masked_mean(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,10 +137,10 @@ def nearest_neighbor_sensor(
 
 
 def group_dispersion_series(dist: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step dispersion over recorded trials.
+    """Group dispersion for any leading shape.
 
-    `dist` is (T, B, N, N) pair distances, `member` (T, B, N) membership.
-    Returns the (T, B) dispersion (ordered-pair sum over (n-1)^2) and its
+    `dist` is (..., N, N) pair distances, `member` (..., N) membership.
+    Returns the (...) dispersion (ordered-pair sum over (n-1)^2) and its
     defined-ness (n >= 2).
     """
     pair_mask = member[..., :, None] & member[..., None, :]

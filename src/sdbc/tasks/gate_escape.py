@@ -28,12 +28,12 @@ from .base import (
     Controller,
     Task,
     TrialBatch,
-    carry_forward,
-    group_dispersion_series,
     masked_mean,
     nearest_neighbor_sensor,
     pairwise_distances,
     random_positions,
+    stack_record,
+    write_feature_row,
 )
 
 _NO_WALLS = np.empty((0, 4))
@@ -164,25 +164,22 @@ class GateEscapeTask(Task):
         return np.sqrt((delta * delta).sum(axis=-1)).min(axis=-1)
 
     def simulate(
-        self, controller: Controller, seeds: Sequence[int], record: bool = False
+        self, controller: Controller, seeds: Sequence[int], record: bool = True
     ) -> TrialBatch:
         p = self.params
         b, n, tau = len(seeds), p.n_robots, p.max_steps
+        names = self.feature_names()
         pos, heading = self._initial_state(seeds)
         active = np.ones((b, n), dtype=bool)
         done = np.zeros(b, dtype=bool)
         steps = np.full(b, tau, dtype=int)
         first_pass = np.full(b, -1, dtype=int)
         escaped = np.zeros(b, dtype=int)
-
-        r_pos = np.empty((tau, b, n, 2))
-        r_turn = np.empty((tau, b, n))
-        r_lin = np.empty((tau, b, n))
-        r_pass = np.empty((tau, b, n))
-        r_active = np.empty((tau, b, n), dtype=bool)
-        r_closing = np.empty((tau, b))
-        r_heading = np.empty((tau, b, n)) if record else None
-        r_wheels = np.empty((tau, b, n, 2)) if record else None
+        gate_sum = np.zeros(b)
+        gate_count = np.zeros(b, dtype=int)
+        disp_sum = np.zeros(b)
+        features = np.empty((tau, b, len(names)))
+        frames: list[dict] = []
 
         cx, cy = self.gate_center
         rows = np.arange(b)[:, None]
@@ -218,16 +215,32 @@ class GateEscapeTask(Task):
                 active
                 & (np.abs(pos[..., 0] - cx) <= p.gate_width / 2.0)
                 & (np.abs(pos[..., 1] - cy) <= p.robot_radius)
+            ).astype(float)
+            closing = (first_pass >= 0).astype(float)
+
+            # the gate distance and the ordered-pair distance total serve
+            # both the features and the task-specific characterisation
+            in_trial = ~done
+            gate_d = np.hypot(pos[..., 0] - cx, pos[..., 1] - cy)
+            to_gate, gate_ok = masked_mean(gate_d, active)
+            dist = pairwise_distances(pos[..., 0], pos[..., 1])
+            n_active = active.sum(axis=1)
+            pair_total = (dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
+            self._features(
+                features, t, names, pos, turn, lin, passing, active, closing,
+                (pair_total / np.maximum(n_active - 1, 1) ** 2, n_active >= 2),
+                (to_gate, gate_ok),
             )
-            r_pos[t] = pos
-            r_turn[t] = turn
-            r_lin[t] = lin
-            r_pass[t] = passing
-            r_active[t] = active
-            r_closing[t] = (first_pass >= 0).astype(float)
+            counted = in_trial & gate_ok
+            gate_sum += to_gate * counted
+            gate_count += counted
+            n_pairs = np.maximum(n_active * (n_active - 1), 1)
+            disp_sum += np.where(n_active >= 2, pair_total / n_pairs, 0.0) * in_trial
             if record:
-                r_heading[t] = heading
-                r_wheels[t] = wheels
+                frames.append(dict(
+                    pos=pos, turn=turn, lin=lin, passing=passing, active=active,
+                    closing=closing, heading=heading, wheels=wheels,
+                ))
 
             all_out = active.sum(axis=1) == 0
             closed_out = (first_pass >= 0) & (
@@ -237,24 +250,27 @@ class GateEscapeTask(Task):
             steps = np.where(ending, t + 1, steps)
             done = done | ending
 
-        rec = {
-            "pos": r_pos[:t_used],
-            "turn": r_turn[:t_used],
-            "lin": r_lin[:t_used],
-            "passing": r_pass[:t_used],
-            "active": r_active[:t_used],
-            "closing": r_closing[:t_used],
-            "steps": steps,
-        }
-        if record:
-            rec["heading"] = r_heading[:t_used]
-            rec["wheels"] = r_wheels[:t_used]
-
-        features = self._features(rec)
         fitness = (escaped + steps / tau) / (1.0 + n)
-        ts = self._ts_chars(rec, escaped, first_pass, steps)
-        return TrialBatch(steps=steps, fitness=fitness, features=features,
-                          ts_chars=ts, record=rec)
+        # every trial counts each of its steps in the dispersion mean
+        mean_gate = gate_sum / np.maximum(gate_count, 1)
+        mean_disp = disp_sum / np.maximum(steps, 1)
+        opened = np.where(first_pass >= 0, (first_pass + 1) / p.max_steps, 1.0)
+        ts = np.stack(
+            [
+                escaped / p.n_robots,
+                opened,
+                mean_gate / self.diagonal,
+                mean_disp / self.diagonal,
+            ],
+            axis=-1,
+        )
+        return TrialBatch(
+            steps=steps,
+            fitness=fitness,
+            features=features[:t_used],
+            ts_chars=np.clip(ts, 0.0, 1.0),
+            record=stack_record(frames, steps) if record else None,
+        )
 
     def _clamp_walls(self, pos: np.ndarray, active: np.ndarray, closed: np.ndarray) -> np.ndarray:
         """Analytic wall resolution for the square arena with a gated top.
@@ -292,34 +308,37 @@ class GateEscapeTask(Task):
             )
         return pos
 
-    def _features(self, rec: dict) -> np.ndarray:
-        """Schema order: agents size, agents means (x, y, turn, lin, passing),
-        gate closing, agents dispersion, agents-gate, agents-walls."""
-        p = self.params
-        pos, active = rec["pos"], rec["active"]
-        n_active = active.sum(axis=2)
-        size = n_active / p.n_robots
-
-        mean_cols = []
-        for arr in (pos[..., 0], pos[..., 1], rec["turn"], rec["lin"], rec["passing"]):
-            m, ok = masked_mean(arr, active)
-            mean_cols.append(carry_forward(m, ok))
-
-        dist = pairwise_distances(pos[..., 0], pos[..., 1])
-        disp, disp_ok = group_dispersion_series(dist, active)
-        disp = carry_forward(disp, disp_ok)
-
-        gate_d = np.hypot(pos[..., 0] - self.gate_center[0], pos[..., 1] - self.gate_center[1])
-        to_gate, ok = masked_mean(gate_d, active)
-        to_gate = carry_forward(to_gate, ok)
-        to_walls, ok = masked_mean(self._wall_distance(pos), active)
-        to_walls = carry_forward(to_walls, ok)
-
-        cols = [size] + mean_cols + [rec["closing"], disp, to_gate, to_walls]
+    def _features(
+        self,
+        features: np.ndarray,
+        t: int,
+        names: tuple[str, ...],
+        pos: np.ndarray,
+        turn: np.ndarray,
+        lin: np.ndarray,
+        passing: np.ndarray,
+        active: np.ndarray,
+        closing: np.ndarray,
+        dispersion: tuple[np.ndarray, np.ndarray],
+        to_gate: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        """Write step `t`'s feature row from the batch's (B, N) state; the
+        robots still inside form the agents group."""
+        columns = {
+            "agents group size": active.sum(axis=1) / self.params.n_robots,
+            "agents x": masked_mean(pos[..., 0], active),
+            "agents y": masked_mean(pos[..., 1], active),
+            "agents turning speed": masked_mean(turn, active),
+            "agents linear speed": masked_mean(lin, active),
+            "agents is passing gate": masked_mean(passing, active),
+            "gate is closing": closing,
+            "agents dispersion": dispersion,
+            "agents-gate distance": to_gate,
+            "agents-walls distance": masked_mean(self._wall_distance(pos), active),
+        }
         if not self.params.published_layout:
-            gate_walls = self._gate_wall_distance() * np.ones_like(size)
-            cols.append(gate_walls)
-        return np.stack(cols, axis=-1)
+            columns["gate-walls distance"] = self._gate_wall_distance()
+        write_feature_row(features, t, names, columns)
 
     def _gate_wall_distance(self) -> float:
         gate = EntityState((0.0,), (GEOM_POINT, *self.gate_center))
@@ -327,39 +346,6 @@ class GateEscapeTask(Task):
 
     def _walls_entity(self) -> EntityState:
         return EntityState((), (GEOM_SEGMENTS, *self.walls.ravel()))
-
-    def _ts_chars(
-        self, rec: dict, escaped: np.ndarray, first_pass: np.ndarray, steps: np.ndarray
-    ) -> np.ndarray:
-        p = self.params
-        pos, active = rec["pos"], rec["active"]
-        t_axis = np.arange(pos.shape[0])[:, None]
-        in_trial = t_axis < steps[None, :]
-        n_active = active.sum(axis=2)
-
-        gate_d = np.hypot(pos[..., 0] - self.gate_center[0], pos[..., 1] - self.gate_center[1])
-        per_step, ok = masked_mean(gate_d, active)
-        valid = in_trial & ok
-        mean_gate = (per_step * valid).sum(axis=0) / np.maximum(valid.sum(axis=0), 1)
-
-        dist = pairwise_distances(pos[..., 0], pos[..., 1])
-        pair_mask = active[..., :, None] & active[..., None, :]
-        totals = (dist * pair_mask).sum(axis=(-2, -1))
-        n_pairs = np.maximum(n_active * (n_active - 1), 1)
-        disp = np.where(n_active >= 2, totals / n_pairs, 0.0)
-        mean_disp = (disp * in_trial).sum(axis=0) / np.maximum(in_trial.sum(axis=0), 1)
-
-        opened = np.where(first_pass >= 0, (first_pass + 1) / p.max_steps, 1.0)
-        out = np.stack(
-            [
-                escaped / p.n_robots,
-                opened,
-                mean_gate / self.diagonal,
-                mean_disp / self.diagonal,
-            ],
-            axis=-1,
-        )
-        return np.clip(out, 0.0, 1.0)
 
     def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
         specs = self.group_specs()

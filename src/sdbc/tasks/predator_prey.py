@@ -22,10 +22,10 @@ from .base import (
     Controller,
     Task,
     TrialBatch,
-    carry_forward,
     group_dispersion_series,
-    masked_mean,
     pairwise_distances,
+    stack_record,
+    write_feature_row,
 )
 
 
@@ -150,10 +150,11 @@ class PredatorPreyTask(Task):
         return x
 
     def simulate(
-        self, controller: Controller, seeds: Sequence[int], record: bool = False
+        self, controller: Controller, seeds: Sequence[int], record: bool = True
     ) -> TrialBatch:
         p = self.params
         b, n, tau = len(seeds), p.n_predators, p.max_steps
+        names = self.feature_names()
         pos = np.broadcast_to(self.start_pos, (b, n, 2)).copy()
         heading = np.broadcast_to(self.start_heading, (b, n)).copy()
         prey = self._initial_prey(seeds)
@@ -162,20 +163,13 @@ class PredatorPreyTask(Task):
         done = np.zeros(b, dtype=bool)
         captured = np.zeros(b, dtype=bool)
         steps = np.full(b, tau, dtype=int)
+        spread_sum = np.zeros(b)
+        features = np.empty((tau, b, len(names)))
+        frames: list[dict] = []
 
         d0 = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
         d_initial = d0.mean(axis=1)
         d_final = d_initial.copy()
-
-        r_pos = np.empty((tau, b, n, 2))
-        r_turn = np.empty((tau, b, n))
-        r_lin = np.empty((tau, b, n))
-        r_prey = np.empty((tau, b, 2))
-        r_prey_turn = np.empty((tau, b))
-        r_prey_lin = np.empty((tau, b))
-        r_present = np.empty((tau, b), dtype=bool)
-        r_heading = np.empty((tau, b, n)) if record else None
-        r_wheels = np.empty((tau, b, n, 2)) if record else None
 
         no_walls = np.empty((0, 4))
         prey_speed = p.prey_speed_factor * p.v_max
@@ -227,16 +221,22 @@ class PredatorPreyTask(Task):
             )
             prey_present = prey_present & ~caught
 
-            r_pos[t] = pos
-            r_turn[t] = p.v_max * (wheels[..., 1] - wheels[..., 0]) / p.axle
-            r_lin[t] = p.v_max * (wheels[..., 0] + wheels[..., 1]) / 2.0
-            r_prey[t] = prey
-            r_prey_turn[t] = prey_turn
-            r_prey_lin[t] = prey_lin
-            r_present[t] = prey_present & ~done
+            turn = p.v_max * (wheels[..., 1] - wheels[..., 0]) / p.axle
+            lin = p.v_max * (wheels[..., 0] + wheels[..., 1]) / 2.0
+            present = prey_present & ~done
+            self._features(
+                features, t, names, pos, turn, lin, prey, prey_turn, prey_lin, present, pd,
+            )
+            centroid = pos.mean(axis=1)
+            spread = np.hypot(
+                pos[..., 0] - centroid[:, None, 0], pos[..., 1] - centroid[:, None, 1]
+            ).mean(axis=1)
+            spread_sum += spread * ~done
             if record:
-                r_heading[t] = heading
-                r_wheels[t] = wheels
+                frames.append(dict(
+                    pos=pos, turn=turn, lin=lin, prey=prey, prey_turn=prey_turn,
+                    prey_lin=prey_lin, present=present, heading=heading, wheels=wheels,
+                ))
 
             ending = ~done & (caught | escaped)
             d_final = np.where(~done, pd.mean(axis=1), d_final)
@@ -244,78 +244,14 @@ class PredatorPreyTask(Task):
             steps = np.where(ending, t + 1, steps)
             done = done | ending
 
-        rec = {
-            "pos": r_pos[:t_used],
-            "turn": r_turn[:t_used],
-            "lin": r_lin[:t_used],
-            "prey": r_prey[:t_used],
-            "prey_turn": r_prey_turn[:t_used],
-            "prey_lin": r_prey_lin[:t_used],
-            "present": r_present[:t_used],
-            "steps": steps,
-        }
-        if record:
-            rec["heading"] = r_heading[:t_used]
-            rec["wheels"] = r_wheels[:t_used]
-
         fitness = np.where(
             captured,
             2.0 - steps / tau,
             np.maximum(d_initial - d_final, 0.0) / self.size,
         )
-        ts = self._ts_chars(rec, captured, steps, d_final)
-        return TrialBatch(
-            steps=steps, fitness=fitness, features=self._features(rec),
-            ts_chars=ts, record=rec,
-        )
-
-    def _features(self, rec: dict) -> np.ndarray:
-        """Schema order: prey size, predator means (x, y, turn, lin), prey
-        means (same), predator dispersion, predators-prey, predators-bounds,
-        prey-bounds."""
-        p = self.params
-        pos, prey, present = rec["pos"], rec["prey"], rec["present"]
-        t, b = present.shape
-
-        cols = []
-        if p.published_layout:
-            cols.append(present.astype(float))
-            prey_defined = present
-        else:
-            # fixed-size prey group: the prey stays in the group throughout
-            prey_defined = np.ones_like(present)
-
-        for arr in (pos[..., 0], pos[..., 1], rec["turn"], rec["lin"]):
-            cols.append(arr.mean(axis=2))
-        for arr in (prey[..., 0], prey[..., 1], rec["prey_turn"], rec["prey_lin"]):
-            cols.append(carry_forward(arr, prey_defined))
-
-        dist = pairwise_distances(pos[..., 0], pos[..., 1])
-        member = np.ones((t, b, p.n_predators), dtype=bool)
-        disp, _ = group_dispersion_series(dist, member)
-        cols.append(disp)
-
-        pd = np.hypot(pos[..., 0] - prey[..., None, 0], pos[..., 1] - prey[..., None, 1])
-        cols.append(carry_forward(pd.mean(axis=2), prey_defined))
-        center_d = np.hypot(pos[..., 0], pos[..., 1])
-        cols.append(np.abs(center_d - p.zone_radius).mean(axis=2))
-        prey_center = np.hypot(prey[..., 0], prey[..., 1])
-        cols.append(carry_forward(np.abs(prey_center - p.zone_radius), prey_defined))
-        return np.stack(cols, axis=-1)
-
-    def _ts_chars(
-        self, rec: dict, captured: np.ndarray, steps: np.ndarray, d_final: np.ndarray
-    ) -> np.ndarray:
-        p = self.params
-        pos = rec["pos"]
-        t_axis = np.arange(pos.shape[0])[:, None]
-        in_trial = t_axis < steps[None, :]
-        centroid = pos.mean(axis=2)
-        spread = np.hypot(
-            pos[..., 0] - centroid[..., None, 0], pos[..., 1] - centroid[..., None, 1]
-        ).mean(axis=2)
-        mean_spread = (spread * in_trial).sum(axis=0) / np.maximum(in_trial.sum(axis=0), 1)
-        out = np.stack(
+        # every trial counts each of its steps in the spread mean
+        mean_spread = spread_sum / np.maximum(steps, 1)
+        ts = np.stack(
             [
                 captured.astype(float),
                 steps / p.max_steps,
@@ -324,7 +260,53 @@ class PredatorPreyTask(Task):
             ],
             axis=-1,
         )
-        return np.clip(out, 0.0, 1.0)
+        return TrialBatch(
+            steps=steps,
+            fitness=fitness,
+            features=features[:t_used],
+            ts_chars=np.clip(ts, 0.0, 1.0),
+            record=stack_record(frames, steps) if record else None,
+        )
+
+    def _features(
+        self,
+        features: np.ndarray,
+        t: int,
+        names: tuple[str, ...],
+        pos: np.ndarray,
+        turn: np.ndarray,
+        lin: np.ndarray,
+        prey: np.ndarray,
+        prey_turn: np.ndarray,
+        prey_lin: np.ndarray,
+        present: np.ndarray,
+        prey_dist: np.ndarray,
+    ) -> None:
+        """Write step `t`'s feature row from the batch's state: (B, N)
+        predators, (B,) prey.  Under the published layout the prey group
+        empties on capture, so its features carry forward from then on."""
+        p = self.params
+        x, y = pos[..., 0], pos[..., 1]
+        prey_defined = present if p.published_layout else True
+        all_predators = np.ones(present.shape + (p.n_predators,), dtype=bool)
+        prey_bounds = np.abs(np.hypot(prey[:, 0], prey[:, 1]) - p.zone_radius)
+        write_feature_row(features, t, names, {
+            "prey group size": present.astype(float),
+            "predators x": x.mean(axis=1),
+            "predators y": y.mean(axis=1),
+            "predators turning speed": turn.mean(axis=1),
+            "predators linear speed": lin.mean(axis=1),
+            "prey x": (prey[:, 0], prey_defined),
+            "prey y": (prey[:, 1], prey_defined),
+            "prey turning speed": (prey_turn, prey_defined),
+            "prey linear speed": (prey_lin, prey_defined),
+            "predators dispersion": group_dispersion_series(
+                pairwise_distances(x, y), all_predators
+            )[0],
+            "predators-prey distance": (prey_dist.mean(axis=1), prey_defined),
+            "predators-bounds distance": np.abs(np.hypot(x, y) - p.zone_radius).mean(axis=1),
+            "prey-bounds distance": (prey_bounds, prey_defined),
+        })
 
     def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
         specs = self.group_specs()

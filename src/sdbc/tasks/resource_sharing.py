@@ -26,12 +26,13 @@ from .base import (
     Controller,
     Task,
     TrialBatch,
-    carry_forward,
     group_dispersion_series,
     masked_mean,
     nearest_neighbor_sensor,
     pairwise_distances,
     random_positions,
+    stack_record,
+    write_feature_row,
 )
 
 _NO_WALLS = np.empty((0, 4))
@@ -155,10 +156,11 @@ class ResourceSharingTask(Task):
         return x
 
     def simulate(
-        self, controller: Controller, seeds: Sequence[int], record: bool = False
+        self, controller: Controller, seeds: Sequence[int], record: bool = True
     ) -> TrialBatch:
         p = self.params
         b, n, tau = len(seeds), p.n_robots, p.max_steps
+        names = self.feature_names()
         pos, heading = self._initial_state(seeds)
         alive = np.ones((b, n), dtype=bool)
         energy = np.full((b, n), p.start_energy)
@@ -168,16 +170,10 @@ class ResourceSharingTask(Task):
         energy_integral = np.zeros(b)
         speed_sum = np.zeros(b)
         alive_steps = np.zeros(b)
-
-        r_pos = np.empty((tau, b, n, 2))
-        r_turn = np.empty((tau, b, n))
-        r_lin = np.empty((tau, b, n))
-        r_energy = np.empty((tau, b, n))
-        r_charging = np.empty((tau, b, n))
-        r_alive = np.empty((tau, b, n), dtype=bool)
-        r_occupied = np.empty((tau, b))
-        r_heading = np.empty((tau, b, n)) if record else None
-        r_wheels = np.empty((tau, b, n, 2)) if record else None
+        station_sum = np.zeros(b)
+        station_count = np.zeros(b, dtype=int)
+        features = np.empty((tau, b, len(names)))
+        frames: list[dict] = []
 
         rows = np.arange(b)[:, None]
         flat_rows = np.arange(b)
@@ -231,51 +227,38 @@ class ResourceSharingTask(Task):
 
             turn = p.v_max * (wheels[..., 1] - wheels[..., 0]) / p.axle
             lin = p.v_max * (wheels[..., 0] + wheels[..., 1]) / 2.0
-            live_now = alive & ~done[:, None]
+            in_trial = ~done
+            live_now = alive & in_trial[:, None]
             energy_integral += np.where(done, 0.0, (energy * alive).sum(axis=1))
             speed_sum += np.where(done, 0.0, (np.abs(lin) * live_now).sum(axis=1))
             alive_steps += np.where(done, 0.0, live_now.sum(axis=1))
 
-            r_pos[t] = pos
-            r_turn[t] = turn
-            r_lin[t] = lin
-            r_energy[t] = energy
-            r_charging[t] = charging & alive
-            r_alive[t] = alive
-            r_occupied[t] = (occupant >= 0).astype(float)
+            charging = (charging & alive).astype(float)
+            occupied = (occupant >= 0).astype(float)
+            to_station, station_ok = masked_mean(st_dist, alive)
+            self._features(
+                features, t, names, pos, turn, lin, energy, charging, alive, occupied,
+                (to_station, station_ok),
+            )
+            counted = in_trial & station_ok
+            station_sum += to_station * counted
+            station_count += counted
             if record:
-                r_heading[t] = heading
-                r_wheels[t] = wheels
+                frames.append(dict(
+                    pos=pos, turn=turn, lin=lin, energy=energy, charging=charging,
+                    alive=alive, occupied=occupied, heading=heading, wheels=wheels,
+                ))
 
             ending = ~done & (alive.sum(axis=1) == 0)
             steps = np.where(ending, t + 1, steps)
             done = done | ending
 
-        rec = {
-            "pos": r_pos[:t_used],
-            "turn": r_turn[:t_used],
-            "lin": r_lin[:t_used],
-            "energy": r_energy[:t_used],
-            "charging": r_charging[:t_used],
-            "alive": r_alive[:t_used],
-            "occupied": r_occupied[:t_used],
-            "steps": steps,
-        }
-        if record:
-            rec["heading"] = r_heading[:t_used]
-            rec["wheels"] = r_wheels[:t_used]
-
-        survivors = rec["alive"][steps - 1, np.arange(b)].sum(axis=1)
+        # a trial's robots stop changing once it ends, so the final state
+        # holds each trial's survivors
+        survivors = alive.sum(axis=1)
         mean_energy = energy_integral / (n * tau)
         fitness = (survivors + mean_energy / p.e_max) / (1.0 + n)
-
-        st_dist = np.hypot(
-            rec["pos"][..., 0] - self.station[0], rec["pos"][..., 1] - self.station[1]
-        )
-        per_step, ok = masked_mean(st_dist, rec["alive"])
-        t_axis = np.arange(t_used)[:, None]
-        valid = (t_axis < steps[None, :]) & ok
-        mean_station = (per_step * valid).sum(axis=0) / np.maximum(valid.sum(axis=0), 1)
+        mean_station = station_sum / np.maximum(station_count, 1)
         ts = np.stack(
             [
                 survivors / n,
@@ -288,36 +271,40 @@ class ResourceSharingTask(Task):
         return TrialBatch(
             steps=steps,
             fitness=fitness,
-            features=self._features(rec),
+            features=features[:t_used],
             ts_chars=np.clip(ts, 0.0, 1.0),
-            record=rec,
+            record=stack_record(frames, steps) if record else None,
         )
 
-    def _features(self, rec: dict) -> np.ndarray:
-        """Schema order: agents size, agents means (x, y, turn, lin, energy,
-        charging), station occupied, agents dispersion, agents-station."""
-        p = self.params
-        pos, alive = rec["pos"], rec["alive"]
-        size = alive.sum(axis=2) / p.n_robots
-
-        mean_cols = []
-        for arr in (
-            pos[..., 0], pos[..., 1], rec["turn"], rec["lin"],
-            rec["energy"], rec["charging"],
-        ):
-            m, ok = masked_mean(arr, alive)
-            mean_cols.append(carry_forward(m, ok))
-
-        dist = pairwise_distances(pos[..., 0], pos[..., 1])
-        disp, disp_ok = group_dispersion_series(dist, alive)
-        disp = carry_forward(disp, disp_ok)
-
-        st_dist = np.hypot(pos[..., 0] - self.station[0], pos[..., 1] - self.station[1])
-        to_station, ok = masked_mean(st_dist, alive)
-        to_station = carry_forward(to_station, ok)
-
-        cols = [size] + mean_cols + [rec["occupied"], disp, to_station]
-        return np.stack(cols, axis=-1)
+    def _features(
+        self,
+        features: np.ndarray,
+        t: int,
+        names: tuple[str, ...],
+        pos: np.ndarray,
+        turn: np.ndarray,
+        lin: np.ndarray,
+        energy: np.ndarray,
+        charging: np.ndarray,
+        alive: np.ndarray,
+        occupied: np.ndarray,
+        to_station: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        """Write step `t`'s feature row from the batch's (B, N) state; the
+        alive robots form the agents group."""
+        x, y = pos[..., 0], pos[..., 1]
+        write_feature_row(features, t, names, {
+            "agents group size": alive.sum(axis=1) / self.params.n_robots,
+            "agents x": masked_mean(x, alive),
+            "agents y": masked_mean(y, alive),
+            "agents turning speed": masked_mean(turn, alive),
+            "agents linear speed": masked_mean(lin, alive),
+            "agents energy level": masked_mean(energy, alive),
+            "agents is charging": masked_mean(charging, alive),
+            "station is occupied": occupied,
+            "agents dispersion": group_dispersion_series(pairwise_distances(x, y), alive),
+            "agents-station distance": to_station,
+        })
 
     def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
         specs = self.group_specs()

@@ -183,6 +183,27 @@ class TestReplay:
         assert list(res.trial_fitness) == fits
         assert res.fitness == float(header["fitness"])
 
+    @pytest.mark.parametrize("task_name", ["resource_sharing", "gate_escape", "predator_prey"])
+    def test_replay_cli_prints_logged_trial_fitness(self, tmp_path, capsys, task_name):
+        cfg_path = write_config(
+            tmp_path,
+            task=task_name,
+            task_params={"max_steps": 200},
+            ga={"population": 6, "generations": 2, "trials": 8, "hidden_units": 4},
+        )
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        genome_path = tmp_path / "o/run_000/best_genome.txt"
+        header, _ = load_genome_file(genome_path)
+        seeds = header["trial_seeds"].split(",")
+        logged = header["trial_fitness"].split(",")
+        capsys.readouterr()
+        printed = []
+        for seed in seeds:
+            assert main(["replay", str(genome_path), "--seed", seed]) == 0
+            out = capsys.readouterr().out
+            printed.append(out.split("fitness ", 1)[1].split(",", 1)[0])
+        assert printed == logged
+
     def test_replay_cli_writes_trajectory(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])

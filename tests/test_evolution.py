@@ -1,5 +1,7 @@
 """Controller construction, GA operators, and the generation pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,25 @@ class TestEvaluate:
             single = evaluate(genomes[k], task, spec, seeds[k], keep_trials=True)
             assert np.array_equal(single.trial_fitness, stacked[k].trial_fitness), k
             assert np.array_equal(single.trial_raw, stacked[k].trial_raw), k
+
+    @pytest.mark.parametrize("name", ["resource_sharing", "gate_escape", "predator_prey"])
+    def test_peak_memory_stays_near_the_feature_array(self, name):
+        # evaluation keeps the (T, B, F) features plus per-step (B, N)
+        # state; a per-step record of the raw state would be several times
+        # the feature array
+        task = make_task(name, {"max_steps": 300})
+        spec = ControllerSpec(task.n_inputs, 6, task.n_outputs)
+        rng = np.random.default_rng(14)
+        genomes = rng.uniform(-1, 1, (20, spec.genome_length))
+        seeds = [[int(s) for s in rng.integers(0, 2**31, 5)] for _ in range(20)]
+        tracemalloc.start()
+        try:
+            evaluate_population(genomes, task, spec, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_bytes = task.max_steps * 100 * len(task.feature_names()) * 8
+        assert peak <= 2 * feature_bytes, peak / feature_bytes
 
     def test_needs_a_trial(self):
         task = small_task()

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from sdbc.evolution import ControllerSpec, build_controller
+from sdbc.evolution import ControllerSpec, build_controller, evaluate
 from sdbc.formalism import extract_feature_series
 from sdbc.tasks import make_task
+from sdbc.tasks.base import pairwise_distances
 from sdbc.tasks.gate_escape import gate_fitness
 from sdbc.tasks.predator_prey import prey_policy, pursuit_fitness
 from sdbc.tasks.resource_sharing import sharing_fitness
@@ -123,6 +124,22 @@ class TestSchemas:
         assert "predators dispersion (F)" in pursuit
 
 
+def assert_matches_formal_extractor(task, batch):
+    schema = task.feature_names()
+    assert batch.features.shape[2] == len(schema)
+    for b in range(len(batch.steps)):
+        steps = int(batch.steps[b])
+        snaps = [task.snapshot(batch.record, b, t) for t in range(steps)]
+        series = extract_feature_series(snaps)
+        assert series[0].schema == schema
+        for t in range(steps):
+            got = batch.features[t, b]
+            expected = np.array(series[t].values)
+            assert got == pytest.approx(expected, abs=1e-12), (
+                f"{task.name}: trial {b} step {t} diverges"
+            )
+
+
 @pytest.mark.parametrize(
     "name,overrides",
     [
@@ -137,18 +154,127 @@ def test_vectorised_features_match_formal_extractor(name, overrides):
     task = make_task(name, overrides)
     ctrl = random_controller(task, seed=hash(name) % 1000)
     batch = task.simulate(ctrl, [11, 12, 13])
-    schema = task.feature_names()
-    for b in range(3):
-        steps = int(batch.steps[b])
-        snaps = [task.snapshot(batch.record, b, t) for t in range(steps)]
-        series = extract_feature_series(snaps)
-        assert series[0].schema == schema
-        for t in range(steps):
-            got = batch.features[t, b]
-            expected = np.array(series[t].values)
-            assert got == pytest.approx(expected, abs=1e-12), (
-                f"{name}: trial {b} step {t} diverges"
-            )
+    assert_matches_formal_extractor(task, batch)
+
+
+@pytest.mark.parametrize(
+    "name,overrides",
+    [
+        ("resource_sharing", {"max_steps": 80, "n_robots": 1, "start_energy": 12.0}),
+        ("gate_escape", {"max_steps": 80, "n_robots": 1}),
+        ("predator_prey", {"max_steps": 80, "n_predators": 1, "prey_spawn_max": 1.2}),
+    ],
+)
+def test_single_robot_groups_follow_the_schema(name, overrides):
+    # a group of at most one robot has no dispersion feature
+    task = make_task(name, overrides)
+    batch = task.simulate(random_controller(task, seed=5), [11, 12, 13])
+    assert not any(f.endswith("dispersion") for f in task.feature_names())
+    assert_matches_formal_extractor(task, batch)
+    spec = ControllerSpec(task.n_inputs, 4, task.n_outputs)
+    genome = np.random.default_rng(5).uniform(-1, 1, spec.genome_length)
+    result = evaluate(genome, task, spec, [1, 2])
+    assert result.raw_characterisation.schema == task.char_schema()
+
+
+def in_trial_mask(rec):
+    return np.arange(rec["pos"].shape[0])[:, None] < rec["steps"][None, :]
+
+
+def mean_over_defined_steps(values, member, in_trial):
+    """Per-trial mean, over the in-trial steps with any member, of the
+    per-step mean of `values` over the members."""
+    count = member.sum(axis=-1)
+    per_step = (values * member).sum(axis=-1) / np.maximum(count, 1)
+    valid = in_trial & (count > 0)
+    return (per_step * valid).sum(axis=0) / np.maximum(valid.sum(axis=0), 1)
+
+
+def sharing_ts_oracle(task, rec):
+    p = task.params
+    steps, n = rec["steps"], p.n_robots
+    in_trial = in_trial_mask(rec)
+    alive = rec["alive"]
+    live = alive & in_trial[..., None]
+    survivors = alive[steps - 1, np.arange(len(steps))].sum(axis=1)
+    energy = (rec["energy"] * live).sum(axis=(0, 2)) / (n * p.max_steps)
+    speed = (np.abs(rec["lin"]) * live).sum(axis=(0, 2)) / np.maximum(live.sum(axis=(0, 2)), 1)
+    pos = rec["pos"]
+    st_dist = np.hypot(pos[..., 0] - task.station[0], pos[..., 1] - task.station[1])
+    station = mean_over_defined_steps(st_dist, alive, in_trial)
+    return np.stack(
+        [survivors / n, energy / p.e_max, speed / p.v_max, station / task.station_reach],
+        axis=-1,
+    )
+
+
+def gate_ts_oracle(task, rec):
+    p = task.params
+    steps = rec["steps"]
+    in_trial = in_trial_mask(rec)
+    pos, active = rec["pos"], rec["active"]
+    escaped = p.n_robots - active[steps - 1, np.arange(len(steps))].sum(axis=1)
+    closing = rec["closing"] > 0
+    first_pass = closing.argmax(axis=0)
+    opened = np.where(closing.any(axis=0), (first_pass + 1) / p.max_steps, 1.0)
+    gate_d = np.hypot(pos[..., 0] - task.gate_center[0], pos[..., 1] - task.gate_center[1])
+    mean_gate = mean_over_defined_steps(gate_d, active, in_trial)
+    dist = pairwise_distances(pos[..., 0], pos[..., 1])
+    totals = (dist * (active[..., :, None] & active[..., None, :])).sum(axis=(-2, -1))
+    n_active = active.sum(axis=2)
+    disp = np.where(n_active >= 2, totals / np.maximum(n_active * (n_active - 1), 1), 0.0)
+    mean_disp = (disp * in_trial).sum(axis=0) / steps
+    return np.stack(
+        [escaped / p.n_robots, opened, mean_gate / task.diagonal, mean_disp / task.diagonal],
+        axis=-1,
+    )
+
+
+def pursuit_ts_oracle(task, rec):
+    p = task.params
+    steps = rec["steps"]
+    last, rows = steps - 1, np.arange(len(steps))
+    in_trial = in_trial_mask(rec)
+    pos, prey = rec["pos"], rec["prey"]
+    captured = ~rec["present"][last, rows]
+    d_final = np.hypot(
+        pos[last, rows, :, 0] - prey[last, rows, None, 0],
+        pos[last, rows, :, 1] - prey[last, rows, None, 1],
+    ).mean(axis=1)
+    centroid = pos.mean(axis=2)
+    spread = np.hypot(
+        pos[..., 0] - centroid[..., None, 0], pos[..., 1] - centroid[..., None, 1]
+    ).mean(axis=2)
+    mean_spread = (spread * in_trial).sum(axis=0) / steps
+    return np.stack(
+        [captured, steps / p.max_steps, d_final / (2.0 * p.zone_radius),
+         mean_spread / p.zone_radius],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize(
+    "name,overrides,oracle",
+    [
+        ("resource_sharing", {"max_steps": 150, "start_energy": 15.0}, sharing_ts_oracle),
+        ("gate_escape", {"max_steps": 150}, gate_ts_oracle),
+        ("predator_prey", {"max_steps": 150, "prey_spawn_max": 1.2}, pursuit_ts_oracle),
+    ],
+)
+def test_recording_does_not_change_results(name, overrides, oracle):
+    task = make_task(name, overrides)
+    ctrl = random_controller(task, 21)
+    seeds = [3, 4, 5, 6, 7]
+    plain = task.simulate(ctrl, seeds, record=False)
+    recorded = task.simulate(ctrl, seeds, record=True)
+    assert plain.record is None
+    for field in ("steps", "fitness", "features", "ts_chars"):
+        assert np.array_equal(getattr(plain, field), getattr(recorded, field)), field
+    rec = recorded.record
+    assert {"heading", "wheels"} <= rec.keys()
+    assert rec["pos"].shape[:2] == rec["wheels"].shape[:2] == plain.features.shape[:2]
+    expected = np.clip(oracle(task, rec), 0.0, 1.0)
+    assert recorded.ts_chars == pytest.approx(expected, abs=1e-12)
 
 
 class TestGateEscapeBehaviour:
