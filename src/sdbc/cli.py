@@ -3,7 +3,8 @@
 Flags override SDBC_* environment variables, which override the config
 file.  Batch runs use seeds master+i so every run is independently
 reproducible; `--parallel` distributes whole runs over worker processes,
-which cannot change any run's results.
+which cannot change any run's results.  A run that fails is reported and
+the others carry on; `run` then exits with status 1.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import multiprocessing as mp
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +115,17 @@ def execute_run(cfg: ExperimentConfig, run_dir: str | Path, resume: bool = False
 
 
 def _run_worker(payload: tuple[dict, str, bool]) -> dict:
+    """One run; a failure is returned as the run's outcome, so that it
+    does not hide the outcomes of the other runs."""
     cfg_dict, run_dir, resume = payload
-    return execute_run(config_from_dict(cfg_dict), run_dir, resume)
+    try:
+        return execute_run(config_from_dict(cfg_dict), run_dir, resume)
+    except Exception as exc:
+        return {
+            "run_dir": run_dir,
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+        }
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -142,9 +153,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             results = pool.map(_run_worker, jobs)
     else:
         results = [_run_worker(job) for job in jobs]
+    failed = [res for res in results if "error" in res]
     for res in results:
-        print(f"{res['run_dir']}: best fitness {res['best_fitness']:.6f}")
-    return 0
+        if "error" in res:
+            print(res["traceback"], end="", file=sys.stderr)
+            print(f"{res['run_dir']}: failed: {res['error']}", file=sys.stderr)
+        else:
+            print(f"{res['run_dir']}: best fitness {res['best_fitness']:.6f}")
+    return 1 if failed else 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

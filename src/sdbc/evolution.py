@@ -47,12 +47,15 @@ class ControllerSpec:
 
 
 class StackedControllers:
-    """Many genomes driving disjoint blocks of one big trial batch; each a
-    tanh hidden layer with a logistic output scaled to the actuator range.
+    """The networks of many genomes over the sensor rows of one trial
+    batch; each a tanh hidden layer with a logistic output scaled to the
+    actuator range.
 
-    Sensor rows arrive as (K * M, inputs) with individual k owning rows
-    [k*M, (k+1)*M); each block goes through its own network.  Numerically
-    identical to running the individuals one at a time.
+    `networks` gives the genome index of each (R, inputs) sensor row, so
+    the rows may come in any order and any subset, as when finished trials
+    leave the batch.  Without it the rows split into K equal consecutive
+    blocks, block k going through genome k.  Either way each row's output
+    is bit-identical to running its own genome's network on that row alone.
     """
 
     def __init__(self, genomes: np.ndarray, spec: ControllerSpec):
@@ -66,16 +69,14 @@ class StackedControllers:
         self.out_low = spec.out_low
         self.out_high = spec.out_high
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        m = x.shape[0] // self.k
-        xb = x.reshape(self.k, m, x.shape[1])
-        h = np.tanh(
-            np.einsum("kmi,khi->kmh", xb, self.w1[:, :, :-1]) + self.w1[:, :, -1][:, None, :]
-        )
-        o = np.einsum("kmh,koh->kmo", h, self.w2[:, :, :-1]) + self.w2[:, :, -1][:, None, :]
+    def __call__(self, x: np.ndarray, networks: np.ndarray | None = None) -> np.ndarray:
+        if networks is None:
+            networks = np.repeat(np.arange(self.k), x.shape[0] // self.k)
+        w1, w2 = self.w1[networks], self.w2[networks]
+        h = np.tanh(np.einsum("ri,rhi->rh", x, w1[:, :, :-1]) + w1[:, :, -1])
+        o = np.einsum("rh,roh->ro", h, w2[:, :, :-1]) + w2[:, :, -1]
         logistic = 1.0 / (1.0 + np.exp(-o))
-        out = self.out_low + (self.out_high - self.out_low) * logistic
-        return out.reshape(self.k * m, -1)
+        return self.out_low + (self.out_high - self.out_low) * logistic
 
     def act(self, sensors: Sequence[float]) -> tuple[float, ...]:
         """Single-robot convenience for one network: sensor tuple to
@@ -175,9 +176,11 @@ def evaluate_population(
 ) -> list[EvaluationResult]:
     """Evaluate many genomes in one flat trial batch.
 
-    Trials of different genomes never interact, so stacking them yields
-    the same numbers as evaluating one genome at a time, only with the
-    per-step array overhead shared across the whole generation.
+    Every trial carries its genome's index, so the stacked networks stay
+    matched to their rows while finished trials leave the batch.  Trials
+    of different genomes never interact, so stacking them yields the same
+    numbers as evaluating one genome at a time, only with the per-step
+    array overhead shared across the whole generation.
     """
     k = genomes.shape[0]
     if len(seeds_per_genome) != k:
@@ -187,7 +190,9 @@ def evaluate_population(
         raise ValueError("every genome needs the same positive trial count")
     controller = StackedControllers(genomes, spec)
     flat_seeds = [s for seeds in seeds_per_genome for s in seeds]
-    batch = task.simulate(controller, flat_seeds, record=False)
+    batch = task.simulate(
+        controller, flat_seeds, record=False, networks=np.repeat(np.arange(k), trials)
+    )
     schema = task.char_schema()
     raw = ch.aggregate_batch(batch.features, batch.steps, task.max_steps)
     results = []

@@ -12,14 +12,19 @@ Layout of a run directory:
     best_genome.txt    flat weights with a small header
     checkpoint.npz     resumable state, refreshed periodically
     done.json          completion marker with a summary
+
+generations.csv, timing.csv and checkpoint.npz are rewritten through a
+temporary file in the run directory that then replaces the old file, so
+a run that dies mid-write leaves the previous version whole.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Callable
 
 import numpy as np
 
@@ -43,6 +48,28 @@ def _fmt(x: Any) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def _replace_file(path: Path, write: Callable[[IO], None], binary: bool = False) -> None:
+    """Write `path` through a temporary sibling file, then rename it over
+    `path`; on an error the temporary file goes and `path` is untouched."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+    def write(fh: IO) -> None:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+    _replace_file(path, write)
 
 
 class RunWriter:
@@ -93,14 +120,8 @@ class RunWriter:
         return int(self._gen_rows[-1][0]) if self._gen_rows else -1
 
     def _flush_generations(self) -> None:
-        with open(self.dir / "generations.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(GENERATION_COLUMNS)
-            w.writerows(self._gen_rows)
-        with open(self.dir / "timing.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("generation", "wall_time"))
-            w.writerows(self._timing_rows)
+        _write_csv(self.dir / "generations.csv", GENERATION_COLUMNS, self._gen_rows)
+        _write_csv(self.dir / "timing.csv", ("generation", "wall_time"), self._timing_rows)
 
     def dump_population(self, generation: int, detail: GenerationDetail) -> None:
         pop_dir = self.dir / "population"
@@ -201,8 +222,7 @@ class RunWriter:
                 tfit[i] = ind.result.trial_fitness
                 tseeds[i] = ind.result.trial_seeds
         arch = state.archive.raw_matrix()
-        np.savez(
-            self.dir / "checkpoint.npz",
+        arrays = dict(
             generation=state.generation,
             next_id=state.next_id,
             genomes=np.stack([ind.genome for ind in pop]),
@@ -247,6 +267,10 @@ class RunWriter:
                 if state.weights is not None
                 else np.zeros(0)
             ),
+        )
+        # an open handle, because np.savez appends ".npz" to a path name
+        _replace_file(
+            self.dir / "checkpoint.npz", lambda fh: np.savez(fh, **arrays), binary=True
         )
 
     def mark_done(self, state: EvolutionState) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -19,24 +20,15 @@ from ..formalism import (
     TaskStateSnapshot,
     geometry_distance,
 )
-from ..simulation import (
-    range_bearing_arrays,
-    resolve_collisions_arrays,
-    step_kinematics_arrays,
-)
+from ..simulation import range_bearing_arrays
 from .base import (
-    Controller,
     Task,
-    TrialBatch,
     masked_mean,
     nearest_neighbor_sensor,
     pairwise_distances,
     random_positions,
-    stack_record,
     write_feature_row,
 )
-
-_NO_WALLS = np.empty((0, 4))
 
 
 @dataclass(frozen=True)
@@ -67,6 +59,8 @@ class GateEscapeTask(Task):
     name = "gate_escape"
     n_inputs = 6
     n_outputs = 2
+    movers = "active"
+    record_keys = ("pos", "turn", "lin", "passing", "active", "closing", "heading", "wheels")
 
     def __init__(self, params: GateEscapeParams = GateEscapeParams()):
         self.params = params
@@ -124,17 +118,24 @@ class GateEscapeTask(Task):
             heading[b] = rng.uniform(-math.pi, math.pi, p.n_robots)
         return pos, heading
 
-    def _sensors(
-        self,
-        pos: np.ndarray,
-        heading: np.ndarray,
-        active: np.ndarray,
-        escaped_frac: np.ndarray,
-        rows: np.ndarray,
-    ) -> np.ndarray:
+    def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
+        b, n = len(seeds), self.params.n_robots
+        pos, heading = self._initial_state(seeds)
+        return SimpleNamespace(
+            pos=pos,
+            heading=heading,
+            active=np.ones((b, n), dtype=bool),
+            first_pass=np.full(b, -1, dtype=int),
+            escaped=np.zeros(b, dtype=int),
+            gate_sum=np.zeros(b),
+            gate_count=np.zeros(b, dtype=int),
+            disp_sum=np.zeros(b),
+        )
+
+    def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
         p = self.params
-        b, n = pos.shape[0], pos.shape[1]
-        x = np.empty((b, n, 6))
+        pos, heading = s.pos, s.heading
+        x = np.empty(pos.shape[:2] + (6,))
         gr, gb, _ = range_bearing_arrays(
             pos[..., 0], pos[..., 1], heading,
             self.gate_center[0], self.gate_center[1], self.diagonal,
@@ -142,16 +143,16 @@ class GateEscapeTask(Task):
         x[..., 0] = gr
         x[..., 1] = gb / math.pi
         x[..., 2], x[..., 3] = nearest_neighbor_sensor(
-            pos, heading, active, p.neighbor_sense, rows
+            pos, heading, s.active, p.neighbor_sense, rows
         )
         # proximity to the enclosing box, cheap stand-in for per-segment math
-        s = p.arena_size
+        sz = p.arena_size
         box_d = np.minimum(
-            np.minimum(pos[..., 0], s - pos[..., 0]),
-            np.minimum(pos[..., 1], s - pos[..., 1]),
+            np.minimum(pos[..., 0], sz - pos[..., 0]),
+            np.minimum(pos[..., 1], sz - pos[..., 1]),
         )
         x[..., 4] = np.clip(1.0 - box_d / p.wall_sense, 0.0, 1.0)
-        x[..., 5] = escaped_frac[:, None]
+        x[..., 5] = (s.escaped / p.n_robots)[:, None]
         return x
 
     def _wall_distance(self, pos: np.ndarray) -> np.ndarray:
@@ -163,114 +164,64 @@ class GateEscapeTask(Task):
         delta = rel - t[..., None] * d
         return np.sqrt((delta * delta).sum(axis=-1)).min(axis=-1)
 
-    def simulate(
-        self, controller: Controller, seeds: Sequence[int], record: bool = True
-    ) -> TrialBatch:
+    def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
         p = self.params
-        b, n, tau = len(seeds), p.n_robots, p.max_steps
-        names = self.feature_names()
-        pos, heading = self._initial_state(seeds)
-        active = np.ones((b, n), dtype=bool)
-        done = np.zeros(b, dtype=bool)
-        steps = np.full(b, tau, dtype=int)
-        first_pass = np.full(b, -1, dtype=int)
-        escaped = np.zeros(b, dtype=int)
-        gate_sum = np.zeros(b)
-        gate_count = np.zeros(b, dtype=int)
-        disp_sum = np.zeros(b)
-        features = np.empty((tau, b, len(names)))
-        frames: list[dict] = []
-
+        n = p.n_robots
         cx, cy = self.gate_center
-        rows = np.arange(b)[:, None]
-        t_used = tau
-        for t in range(tau):
-            if done.all():
-                t_used = t
-                break
-            sensors = self._sensors(pos, heading, active, escaped / n, rows)
-            wheels = controller(sensors.reshape(b * n, 6)).reshape(b, n, 2)
-            move = active & ~done[:, None]
-            wheels = wheels * move[..., None]
-            nx, ny, nh = step_kinematics_arrays(
-                pos[..., 0], pos[..., 1], heading,
-                wheels[..., 0], wheels[..., 1], p.dt, p.v_max, p.axle,
-            )
-            pos = np.stack([nx, ny], axis=-1)
-            heading = nh
-            closed = (first_pass >= 0) & (t >= first_pass + p.gate_close_delay)
-            pos = resolve_collisions_arrays(pos, p.robot_radius, move, _NO_WALLS, max_passes=4)
-            pos = self._clamp_walls(pos, move, closed)
+        closed = (s.first_pass >= 0) & (t >= s.first_pass + p.gate_close_delay)
+        s.pos = pos = self._clamp_walls(s.pos, move, closed)
 
-            newly_escaped = move & (pos[..., 1] > p.arena_size + p.robot_radius)
-            if newly_escaped.any():
-                active = active & ~newly_escaped
-                escaped = np.where(done, escaped, n - active.sum(axis=1))
-                just_opened = (first_pass < 0) & (escaped > 0) & ~done
-                first_pass = np.where(just_opened, t, first_pass)
+        newly_escaped = move & (pos[..., 1] > p.arena_size + p.robot_radius)
+        if newly_escaped.any():
+            s.active = s.active & ~newly_escaped
+            s.escaped = n - s.active.sum(axis=1)
+            just_opened = (s.first_pass < 0) & (s.escaped > 0)
+            s.first_pass = np.where(just_opened, t, s.first_pass)
 
-            turn = p.v_max * (wheels[..., 1] - wheels[..., 0]) / p.axle
-            lin = p.v_max * (wheels[..., 0] + wheels[..., 1]) / 2.0
-            passing = (
-                active
-                & (np.abs(pos[..., 0] - cx) <= p.gate_width / 2.0)
-                & (np.abs(pos[..., 1] - cy) <= p.robot_radius)
-            ).astype(float)
-            closing = (first_pass >= 0).astype(float)
+        active = s.active
+        s.passing = (
+            active
+            & (np.abs(pos[..., 0] - cx) <= p.gate_width / 2.0)
+            & (np.abs(pos[..., 1] - cy) <= p.robot_radius)
+        ).astype(float)
+        s.closing = (s.first_pass >= 0).astype(float)
 
-            # the gate distance and the ordered-pair distance total serve
-            # both the features and the task-specific characterisation
-            in_trial = ~done
-            gate_d = np.hypot(pos[..., 0] - cx, pos[..., 1] - cy)
-            to_gate, gate_ok = masked_mean(gate_d, active)
-            dist = pairwise_distances(pos[..., 0], pos[..., 1])
-            n_active = active.sum(axis=1)
-            pair_total = (dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
-            self._features(
-                features, t, names, pos, turn, lin, passing, active, closing,
-                (pair_total / np.maximum(n_active - 1, 1) ** 2, n_active >= 2),
-                (to_gate, gate_ok),
-            )
-            counted = in_trial & gate_ok
-            gate_sum += to_gate * counted
-            gate_count += counted
-            n_pairs = np.maximum(n_active * (n_active - 1), 1)
-            disp_sum += np.where(n_active >= 2, pair_total / n_pairs, 0.0) * in_trial
-            if record:
-                frames.append(dict(
-                    pos=pos, turn=turn, lin=lin, passing=passing, active=active,
-                    closing=closing, heading=heading, wheels=wheels,
-                ))
+        # the gate distance and the ordered-pair distance total serve
+        # both the features and the task-specific characterisation
+        gate_d = np.hypot(pos[..., 0] - cx, pos[..., 1] - cy)
+        s.to_gate, s.gate_ok = masked_mean(gate_d, active)
+        dist = pairwise_distances(pos[..., 0], pos[..., 1])
+        n_active = active.sum(axis=1)
+        pair_total = (dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
+        s.dispersion = pair_total / np.maximum(n_active - 1, 1) ** 2
+        s.dispersion_ok = n_active >= 2
+        s.gate_sum += s.to_gate * s.gate_ok
+        s.gate_count += s.gate_ok
+        n_pairs = np.maximum(n_active * (n_active - 1), 1)
+        s.disp_sum += np.where(s.dispersion_ok, pair_total / n_pairs, 0.0)
 
-            all_out = active.sum(axis=1) == 0
-            closed_out = (first_pass >= 0) & (
-                t >= first_pass + p.gate_close_delay + p.grace_steps
-            )
-            ending = ~done & (all_out | closed_out)
-            steps = np.where(ending, t + 1, steps)
-            done = done | ending
+        closed_out = (s.first_pass >= 0) & (
+            t >= s.first_pass + p.gate_close_delay + p.grace_steps
+        )
+        return (n_active == 0) | closed_out
 
-        fitness = (escaped + steps / tau) / (1.0 + n)
+    def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = self.params
+        fitness = (s.escaped + steps / p.max_steps) / (1.0 + p.n_robots)
         # every trial counts each of its steps in the dispersion mean
-        mean_gate = gate_sum / np.maximum(gate_count, 1)
-        mean_disp = disp_sum / np.maximum(steps, 1)
-        opened = np.where(first_pass >= 0, (first_pass + 1) / p.max_steps, 1.0)
+        mean_gate = s.gate_sum / np.maximum(s.gate_count, 1)
+        mean_disp = s.disp_sum / np.maximum(steps, 1)
+        opened = np.where(s.first_pass >= 0, (s.first_pass + 1) / p.max_steps, 1.0)
         ts = np.stack(
             [
-                escaped / p.n_robots,
+                s.escaped / p.n_robots,
                 opened,
                 mean_gate / self.diagonal,
                 mean_disp / self.diagonal,
             ],
             axis=-1,
         )
-        return TrialBatch(
-            steps=steps,
-            fitness=fitness,
-            features=features[:t_used],
-            ts_chars=np.clip(ts, 0.0, 1.0),
-            record=stack_record(frames, steps) if record else None,
-        )
+        return fitness, ts
 
     def _clamp_walls(self, pos: np.ndarray, active: np.ndarray, closed: np.ndarray) -> np.ndarray:
         """Analytic wall resolution for the square arena with a gated top.
@@ -308,37 +259,25 @@ class GateEscapeTask(Task):
             )
         return pos
 
-    def _features(
-        self,
-        features: np.ndarray,
-        t: int,
-        names: tuple[str, ...],
-        pos: np.ndarray,
-        turn: np.ndarray,
-        lin: np.ndarray,
-        passing: np.ndarray,
-        active: np.ndarray,
-        closing: np.ndarray,
-        dispersion: tuple[np.ndarray, np.ndarray],
-        to_gate: tuple[np.ndarray, np.ndarray],
-    ) -> None:
-        """Write step `t`'s feature row from the batch's (B, N) state; the
+    def _features(self, row: np.ndarray, names: tuple[str, ...], s: SimpleNamespace) -> None:
+        """Write the step's feature row from the batch's (B, N) state; the
         robots still inside form the agents group."""
+        pos, active = s.pos, s.active
         columns = {
             "agents group size": active.sum(axis=1) / self.params.n_robots,
             "agents x": masked_mean(pos[..., 0], active),
             "agents y": masked_mean(pos[..., 1], active),
-            "agents turning speed": masked_mean(turn, active),
-            "agents linear speed": masked_mean(lin, active),
-            "agents is passing gate": masked_mean(passing, active),
-            "gate is closing": closing,
-            "agents dispersion": dispersion,
-            "agents-gate distance": to_gate,
+            "agents turning speed": masked_mean(s.turn, active),
+            "agents linear speed": masked_mean(s.lin, active),
+            "agents is passing gate": masked_mean(s.passing, active),
+            "gate is closing": s.closing,
+            "agents dispersion": (s.dispersion, s.dispersion_ok),
+            "agents-gate distance": (s.to_gate, s.gate_ok),
             "agents-walls distance": masked_mean(self._wall_distance(pos), active),
         }
         if not self.params.published_layout:
             columns["gate-walls distance"] = self._gate_wall_distance()
-        write_feature_row(features, t, names, columns)
+        write_feature_row(row, names, columns)
 
     def _gate_wall_distance(self) -> float:
         gate = EntityState((0.0,), (GEOM_POINT, *self.gate_center))

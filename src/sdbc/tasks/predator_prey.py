@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -17,16 +18,8 @@ from ..formalism import (
     TaskStateSnapshot,
     geometry_distance,
 )
-from ..simulation import normalize_angle, resolve_collisions_arrays, step_kinematics_arrays
-from .base import (
-    Controller,
-    Task,
-    TrialBatch,
-    group_dispersion_series,
-    pairwise_distances,
-    stack_record,
-    write_feature_row,
-)
+from ..simulation import normalize_angle
+from .base import Task, group_dispersion_series, pairwise_distances, write_feature_row
 
 
 @dataclass(frozen=True)
@@ -79,6 +72,10 @@ class PredatorPreyTask(Task):
     name = "predator_prey"
     n_inputs = 6
     n_outputs = 2
+    movers = "active"  # every predator, for as long as its trial runs
+    record_keys = (
+        "pos", "turn", "lin", "prey", "prey_turn", "prey_lin", "present", "heading", "wheels",
+    )
 
     def __init__(self, params: PredatorPreyParams = PredatorPreyParams()):
         self.params = params
@@ -112,21 +109,34 @@ class PredatorPreyTask(Task):
             prey[b] = (r * math.cos(a), r * math.sin(a))
         return prey
 
-    def _sensors(
-        self,
-        pos: np.ndarray,
-        heading: np.ndarray,
-        prey: np.ndarray,
-        prey_present: np.ndarray,
-        rows: np.ndarray,
-    ) -> np.ndarray:
+    def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
+        b, n = len(seeds), self.params.n_predators
+        pos = np.broadcast_to(self.start_pos, (b, n, 2)).copy()
+        prey = self._initial_prey(seeds)
+        d0 = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
+        d_initial = d0.mean(axis=1)
+        return SimpleNamespace(
+            pos=pos,
+            heading=np.broadcast_to(self.start_heading, (b, n)).copy(),
+            active=np.ones((b, n), dtype=bool),
+            prey=prey,
+            prey_heading=np.zeros(b),
+            present=np.ones(b, dtype=bool),
+            captured=np.zeros(b, dtype=bool),
+            d_initial=d_initial,
+            d_final=d_initial.copy(),
+            spread_sum=np.zeros(b),
+        )
+
+    def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
         p = self.params
+        pos, heading, prey = s.pos, s.heading, s.prey
         b, n = pos.shape[0], pos.shape[1]
         x = np.empty((b, n, 6))
         dx = prey[:, None, 0] - pos[..., 0]
         dy = prey[:, None, 1] - pos[..., 1]
         dist = np.hypot(dx, dy)
-        sensed = prey_present[:, None] & (dist <= p.predator_sense)
+        sensed = s.present[:, None] & (dist <= p.predator_sense)
         bearing = normalize_angle(np.arctan2(dy, dx) - heading)
         x[..., 0] = np.where(sensed, dist / p.predator_sense, 1.0)
         x[..., 1] = np.where(sensed, bearing / math.pi, 0.0)
@@ -149,161 +159,87 @@ class PredatorPreyTask(Task):
             x[..., 3 + 2 * slot] = np.where(ok, pb / math.pi, 0.0)
         return x
 
-    def simulate(
-        self, controller: Controller, seeds: Sequence[int], record: bool = True
-    ) -> TrialBatch:
+    def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
+        # preprogrammed prey: flee the mean sensed predator position
         p = self.params
-        b, n, tau = len(seeds), p.n_predators, p.max_steps
-        names = self.feature_names()
-        pos = np.broadcast_to(self.start_pos, (b, n, 2)).copy()
-        heading = np.broadcast_to(self.start_heading, (b, n)).copy()
-        prey = self._initial_prey(seeds)
-        prey_heading = np.zeros(b)
-        prey_present = np.ones(b, dtype=bool)
-        done = np.zeros(b, dtype=bool)
-        captured = np.zeros(b, dtype=bool)
-        steps = np.full(b, tau, dtype=int)
-        spread_sum = np.zeros(b)
-        features = np.empty((tau, b, len(names)))
-        frames: list[dict] = []
-
-        d0 = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
-        d_initial = d0.mean(axis=1)
-        d_final = d_initial.copy()
-
-        no_walls = np.empty((0, 4))
+        pos, prey, prey_heading = s.pos, s.prey, s.prey_heading
         prey_speed = p.prey_speed_factor * p.v_max
-        rows = np.arange(b)[:, None]
-        t_used = tau
-        for t in range(tau):
-            if done.all():
-                t_used = t
-                break
-            sensors = self._sensors(pos, heading, prey, prey_present & ~done, rows)
-            wheels = controller(sensors.reshape(b * n, 6)).reshape(b, n, 2)
-            wheels = wheels * (~done)[:, None, None]
-            nx, ny, nh = step_kinematics_arrays(
-                pos[..., 0], pos[..., 1], heading,
-                wheels[..., 0], wheels[..., 1], p.dt, p.v_max, p.axle,
-            )
-            pos = np.stack([nx, ny], axis=-1)
-            heading = nh
-            active = np.broadcast_to((~done)[:, None], (b, n))
-            pos = resolve_collisions_arrays(pos, p.robot_radius, active, no_walls, max_passes=4)
+        deltas = pos - prey[:, None, :]
+        pd = np.sqrt((deltas * deltas).sum(axis=-1))
+        sensed = pd <= p.prey_sense
+        any_sensed = sensed.any(axis=1)
+        w = sensed / np.maximum(sensed.sum(axis=1), 1)[:, None]
+        mean_pred = (pos * w[..., None]).sum(axis=1)
+        away = prey - mean_pred
+        norm = np.sqrt((away * away).sum(axis=-1))
+        flee = np.where(
+            (any_sensed & (norm > 1e-12))[:, None],
+            away / np.maximum(norm, 1e-12)[:, None],
+            0.0,
+        )
+        s.prey = prey = prey + flee * prey_speed * p.dt
+        moving = (flee != 0.0).any(axis=1)
+        s.prey_heading = np.where(moving, np.arctan2(flee[:, 1], flee[:, 0]), prey_heading)
+        s.prey_turn = np.where(
+            moving, normalize_angle(s.prey_heading - prey_heading) / p.dt, 0.0
+        )
+        s.prey_lin = np.where(moving, prey_speed, 0.0)
 
-            # preprogrammed prey: flee the mean sensed predator position
-            deltas = pos - prey[:, None, :]
-            pd = np.sqrt((deltas * deltas).sum(axis=-1))
-            sensed = pd <= p.prey_sense
-            any_sensed = sensed.any(axis=1) & ~done
-            w = sensed / np.maximum(sensed.sum(axis=1), 1)[:, None]
-            mean_pred = (pos * w[..., None]).sum(axis=1)
-            away = prey - mean_pred
-            norm = np.sqrt((away * away).sum(axis=-1))
-            flee = np.where(
-                (any_sensed & (norm > 1e-12))[:, None],
-                away / np.maximum(norm, 1e-12)[:, None],
-                0.0,
-            )
-            new_prey = prey + flee * prey_speed * p.dt
-            moving = (flee != 0.0).any(axis=1)
-            new_ph = np.where(moving, np.arctan2(flee[:, 1], flee[:, 0]), prey_heading)
-            prey_turn = np.where(moving, normalize_angle(new_ph - prey_heading) / p.dt, 0.0)
-            prey_lin = np.where(moving, prey_speed, 0.0)
-            prey = new_prey
-            prey_heading = new_ph
+        s.prey_dist = pd = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
+        caught = s.present & (pd.min(axis=1) <= 2.0 * p.robot_radius)
+        escaped = s.present & ~caught & (np.hypot(prey[:, 0], prey[:, 1]) > p.zone_radius)
+        s.present = s.present & ~caught
+        s.captured = s.captured | caught
+        s.d_final = pd.mean(axis=1)
+        centroid = pos.mean(axis=1)
+        s.spread_sum += np.hypot(
+            pos[..., 0] - centroid[:, None, 0], pos[..., 1] - centroid[:, None, 1]
+        ).mean(axis=1)
+        return caught | escaped
 
-            pd = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
-            caught = ~done & prey_present & (pd.min(axis=1) <= 2.0 * p.robot_radius)
-            escaped = (
-                ~done & prey_present & ~caught
-                & (np.hypot(prey[:, 0], prey[:, 1]) > p.zone_radius)
-            )
-            prey_present = prey_present & ~caught
-
-            turn = p.v_max * (wheels[..., 1] - wheels[..., 0]) / p.axle
-            lin = p.v_max * (wheels[..., 0] + wheels[..., 1]) / 2.0
-            present = prey_present & ~done
-            self._features(
-                features, t, names, pos, turn, lin, prey, prey_turn, prey_lin, present, pd,
-            )
-            centroid = pos.mean(axis=1)
-            spread = np.hypot(
-                pos[..., 0] - centroid[:, None, 0], pos[..., 1] - centroid[:, None, 1]
-            ).mean(axis=1)
-            spread_sum += spread * ~done
-            if record:
-                frames.append(dict(
-                    pos=pos, turn=turn, lin=lin, prey=prey, prey_turn=prey_turn,
-                    prey_lin=prey_lin, present=present, heading=heading, wheels=wheels,
-                ))
-
-            ending = ~done & (caught | escaped)
-            d_final = np.where(~done, pd.mean(axis=1), d_final)
-            captured = captured | caught
-            steps = np.where(ending, t + 1, steps)
-            done = done | ending
-
+    def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = self.params
         fitness = np.where(
-            captured,
-            2.0 - steps / tau,
-            np.maximum(d_initial - d_final, 0.0) / self.size,
+            s.captured,
+            2.0 - steps / p.max_steps,
+            np.maximum(s.d_initial - s.d_final, 0.0) / self.size,
         )
         # every trial counts each of its steps in the spread mean
-        mean_spread = spread_sum / np.maximum(steps, 1)
+        mean_spread = s.spread_sum / np.maximum(steps, 1)
         ts = np.stack(
             [
-                captured.astype(float),
+                s.captured.astype(float),
                 steps / p.max_steps,
-                d_final / (2.0 * p.zone_radius),
+                s.d_final / (2.0 * p.zone_radius),
                 mean_spread / p.zone_radius,
             ],
             axis=-1,
         )
-        return TrialBatch(
-            steps=steps,
-            fitness=fitness,
-            features=features[:t_used],
-            ts_chars=np.clip(ts, 0.0, 1.0),
-            record=stack_record(frames, steps) if record else None,
-        )
+        return fitness, ts
 
-    def _features(
-        self,
-        features: np.ndarray,
-        t: int,
-        names: tuple[str, ...],
-        pos: np.ndarray,
-        turn: np.ndarray,
-        lin: np.ndarray,
-        prey: np.ndarray,
-        prey_turn: np.ndarray,
-        prey_lin: np.ndarray,
-        present: np.ndarray,
-        prey_dist: np.ndarray,
-    ) -> None:
-        """Write step `t`'s feature row from the batch's state: (B, N)
+    def _features(self, row: np.ndarray, names: tuple[str, ...], s: SimpleNamespace) -> None:
+        """Write the step's feature row from the batch's state: (B, N)
         predators, (B,) prey.  Under the published layout the prey group
         empties on capture, so its features carry forward from then on."""
         p = self.params
-        x, y = pos[..., 0], pos[..., 1]
+        x, y, prey, present = s.pos[..., 0], s.pos[..., 1], s.prey, s.present
         prey_defined = present if p.published_layout else True
         all_predators = np.ones(present.shape + (p.n_predators,), dtype=bool)
         prey_bounds = np.abs(np.hypot(prey[:, 0], prey[:, 1]) - p.zone_radius)
-        write_feature_row(features, t, names, {
+        write_feature_row(row, names, {
             "prey group size": present.astype(float),
             "predators x": x.mean(axis=1),
             "predators y": y.mean(axis=1),
-            "predators turning speed": turn.mean(axis=1),
-            "predators linear speed": lin.mean(axis=1),
+            "predators turning speed": s.turn.mean(axis=1),
+            "predators linear speed": s.lin.mean(axis=1),
             "prey x": (prey[:, 0], prey_defined),
             "prey y": (prey[:, 1], prey_defined),
-            "prey turning speed": (prey_turn, prey_defined),
-            "prey linear speed": (prey_lin, prey_defined),
+            "prey turning speed": (s.prey_turn, prey_defined),
+            "prey linear speed": (s.prey_lin, prey_defined),
             "predators dispersion": group_dispersion_series(
                 pairwise_distances(x, y), all_predators
             )[0],
-            "predators-prey distance": (prey_dist.mean(axis=1), prey_defined),
+            "predators-prey distance": (s.prey_dist.mean(axis=1), prey_defined),
             "predators-bounds distance": np.abs(np.hypot(x, y) - p.zone_radius).mean(axis=1),
             "prey-bounds distance": (prey_bounds, prey_defined),
         })

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -17,25 +18,16 @@ from ..formalism import (
     TaskStateSnapshot,
     geometry_distance,
 )
-from ..simulation import (
-    range_bearing_arrays,
-    resolve_collisions_arrays,
-    step_kinematics_arrays,
-)
+from ..simulation import range_bearing_arrays
 from .base import (
-    Controller,
     Task,
-    TrialBatch,
     group_dispersion_series,
     masked_mean,
     nearest_neighbor_sensor,
     pairwise_distances,
     random_positions,
-    stack_record,
     write_feature_row,
 )
-
-_NO_WALLS = np.empty((0, 4))
 
 
 @dataclass(frozen=True)
@@ -73,6 +65,10 @@ class ResourceSharingTask(Task):
     name = "resource_sharing"
     n_inputs = 6
     n_outputs = 2
+    movers = "alive"
+    record_keys = (
+        "pos", "turn", "lin", "energy", "charging", "alive", "occupied", "heading", "wheels",
+    )
 
     def __init__(self, params: ResourceSharingParams = ResourceSharingParams()):
         self.params = params
@@ -130,181 +126,121 @@ class ResourceSharingTask(Task):
             heading[b] = rng.uniform(-math.pi, math.pi, p.n_robots)
         return pos, heading
 
-    def _sensors(
-        self,
-        pos: np.ndarray,
-        heading: np.ndarray,
-        alive: np.ndarray,
-        energy: np.ndarray,
-        occupied: np.ndarray,
-        rows: np.ndarray,
-    ) -> np.ndarray:
+    def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
         p = self.params
-        b, n = pos.shape[0], pos.shape[1]
-        x = np.empty((b, n, 6))
-        x[..., 0] = energy / p.e_max
+        b, n = len(seeds), p.n_robots
+        pos, heading = self._initial_state(seeds)
+        return SimpleNamespace(
+            pos=pos,
+            heading=heading,
+            alive=np.ones((b, n), dtype=bool),
+            energy=np.full((b, n), p.start_energy),
+            occupant=np.full(b, -1, dtype=int),
+            energy_integral=np.zeros(b),
+            speed_sum=np.zeros(b),
+            alive_steps=np.zeros(b),
+            station_sum=np.zeros(b),
+            station_count=np.zeros(b, dtype=int),
+        )
+
+    def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
+        p = self.params
+        pos, heading = s.pos, s.heading
+        x = np.empty(pos.shape[:2] + (6,))
+        x[..., 0] = s.energy / p.e_max
         sr, sb, seen = range_bearing_arrays(
             pos[..., 0], pos[..., 1], heading,
             self.station[0], self.station[1], p.station_sense,
         )
         x[..., 1] = np.where(seen, sr, 1.0)
         x[..., 2] = np.where(seen, sb / math.pi, 0.0)
-        x[..., 3] = np.where(seen, occupied[:, None], 0.0)
+        x[..., 3] = np.where(seen, (s.occupant >= 0).astype(float)[:, None], 0.0)
         x[..., 4], x[..., 5] = nearest_neighbor_sensor(
-            pos, heading, alive, p.neighbor_sense, rows
+            pos, heading, s.alive, p.neighbor_sense, rows
         )
         return x
 
-    def simulate(
-        self, controller: Controller, seeds: Sequence[int], record: bool = True
-    ) -> TrialBatch:
+    def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
         p = self.params
-        b, n, tau = len(seeds), p.n_robots, p.max_steps
-        names = self.feature_names()
-        pos, heading = self._initial_state(seeds)
-        alive = np.ones((b, n), dtype=bool)
-        energy = np.full((b, n), p.start_energy)
-        occupant = np.full(b, -1, dtype=int)
-        done = np.zeros(b, dtype=bool)
-        steps = np.full(b, tau, dtype=int)
-        energy_integral = np.zeros(b)
-        speed_sum = np.zeros(b)
-        alive_steps = np.zeros(b)
-        station_sum = np.zeros(b)
-        station_count = np.zeros(b, dtype=int)
-        features = np.empty((tau, b, len(names)))
-        frames: list[dict] = []
+        # axis clamps are exact wall resolution for a closed box; dead
+        # robots already rest inside, so clamping them is a no-op
+        s.pos = pos = np.clip(s.pos, p.robot_radius, p.arena_size - p.robot_radius)
 
-        rows = np.arange(b)[:, None]
-        flat_rows = np.arange(b)
-        t_used = tau
-        for t in range(tau):
-            if done.all():
-                t_used = t
-                break
-            occupied_flag = (occupant >= 0).astype(float)
-            sensors = self._sensors(pos, heading, alive, energy, occupied_flag, rows)
-            wheels = controller(sensors.reshape(b * n, 6)).reshape(b, n, 2)
-            move = alive & ~done[:, None]
-            wheels = wheels * move[..., None]
-            nx, ny, nh = step_kinematics_arrays(
-                pos[..., 0], pos[..., 1], heading,
-                wheels[..., 0], wheels[..., 1], p.dt, p.v_max, p.axle,
-            )
-            pos = np.stack([nx, ny], axis=-1)
-            heading = nh
-            pos = resolve_collisions_arrays(pos, p.robot_radius, move, _NO_WALLS, max_passes=4)
-            # axis clamps are exact wall resolution for a closed box; dead
-            # robots already rest inside, so clamping them is a no-op
-            pos = np.clip(pos, p.robot_radius, p.arena_size - p.robot_radius)
+        # station occupancy: the holder keeps it while alive and inside;
+        # otherwise the nearest alive robot inside takes it
+        flat_rows = np.arange(len(pos))
+        occupant, alive, energy, wheels = s.occupant, s.alive, s.energy, s.wheels
+        st_dist = np.hypot(pos[..., 0] - self.station[0], pos[..., 1] - self.station[1])
+        inside = alive & (st_dist <= p.station_radius)
+        keeps = (occupant >= 0) & inside[flat_rows, np.maximum(occupant, 0)]
+        occupant = np.where(keeps, occupant, -1)
+        claim_d = np.where(inside, st_dist, np.inf)
+        claimant = claim_d.argmin(axis=1)
+        has_claim = np.isfinite(claim_d[flat_rows, claimant])
+        occupant = np.where((occupant < 0) & has_claim, claimant, occupant)
 
-            # station occupancy: the holder keeps it while alive and inside;
-            # otherwise the nearest alive robot inside takes it
-            st_dist = np.hypot(pos[..., 0] - self.station[0], pos[..., 1] - self.station[1])
-            inside = alive & (st_dist <= p.station_radius)
-            keeps = (occupant >= 0) & inside[flat_rows, np.maximum(occupant, 0)]
-            occupant = np.where(keeps, occupant, -1)
-            claim_d = np.where(inside, st_dist, np.inf)
-            claimant = claim_d.argmin(axis=1)
-            has_claim = np.isfinite(claim_d[flat_rows, claimant])
-            occupant = np.where((occupant < 0) & has_claim & ~done, claimant, occupant)
+        charging = np.zeros(alive.shape, dtype=bool)
+        holders = np.nonzero(occupant >= 0)[0]
+        charging[holders, occupant[holders]] = True
+        charging &= move
 
-            charging = np.zeros((b, n), dtype=bool)
-            holders = np.nonzero(occupant >= 0)[0]
-            charging[holders, occupant[holders]] = True
-            charging &= move
+        consumption = p.consumption_base + p.consumption_move * np.abs(
+            (wheels[..., 0] + wheels[..., 1]) / 2.0
+        )
+        energy = np.where(move, energy - consumption, energy)
+        energy = np.where(charging, np.minimum(energy + p.recharge, p.e_max), energy)
+        died = move & (energy <= 0.0)
+        s.energy = energy = np.maximum(energy, 0.0)
+        s.alive = alive = alive & ~died
+        freed = (occupant >= 0) & ~alive[flat_rows, np.maximum(occupant, 0)]
+        s.occupant = np.where(freed, -1, occupant)
 
-            consumption = p.consumption_base + p.consumption_move * np.abs(
-                (wheels[..., 0] + wheels[..., 1]) / 2.0
-            )
-            energy = np.where(move, energy - consumption, energy)
-            energy = np.where(charging, np.minimum(energy + p.recharge, p.e_max), energy)
-            died = move & (energy <= 0.0)
-            energy = np.maximum(energy, 0.0)
-            alive = alive & ~died
-            freed = (occupant >= 0) & ~alive[flat_rows, np.maximum(occupant, 0)]
-            occupant = np.where(freed, -1, occupant)
+        s.energy_integral += (energy * alive).sum(axis=1)
+        s.speed_sum += (np.abs(s.lin) * alive).sum(axis=1)
+        s.alive_steps += alive.sum(axis=1)
+        s.charging = (charging & alive).astype(float)
+        s.occupied = (s.occupant >= 0).astype(float)
+        s.to_station, s.station_ok = masked_mean(st_dist, alive)
+        s.station_sum += s.to_station * s.station_ok
+        s.station_count += s.station_ok
+        return alive.sum(axis=1) == 0
 
-            turn = p.v_max * (wheels[..., 1] - wheels[..., 0]) / p.axle
-            lin = p.v_max * (wheels[..., 0] + wheels[..., 1]) / 2.0
-            in_trial = ~done
-            live_now = alive & in_trial[:, None]
-            energy_integral += np.where(done, 0.0, (energy * alive).sum(axis=1))
-            speed_sum += np.where(done, 0.0, (np.abs(lin) * live_now).sum(axis=1))
-            alive_steps += np.where(done, 0.0, live_now.sum(axis=1))
+    def _features(self, row: np.ndarray, names: tuple[str, ...], s: SimpleNamespace) -> None:
+        """Write the step's feature row from the batch's (B, N) state; the
+        alive robots form the agents group."""
+        x, y, alive = s.pos[..., 0], s.pos[..., 1], s.alive
+        write_feature_row(row, names, {
+            "agents group size": alive.sum(axis=1) / self.params.n_robots,
+            "agents x": masked_mean(x, alive),
+            "agents y": masked_mean(y, alive),
+            "agents turning speed": masked_mean(s.turn, alive),
+            "agents linear speed": masked_mean(s.lin, alive),
+            "agents energy level": masked_mean(s.energy, alive),
+            "agents is charging": masked_mean(s.charging, alive),
+            "station is occupied": s.occupied,
+            "agents dispersion": group_dispersion_series(pairwise_distances(x, y), alive),
+            "agents-station distance": (s.to_station, s.station_ok),
+        })
 
-            charging = (charging & alive).astype(float)
-            occupied = (occupant >= 0).astype(float)
-            to_station, station_ok = masked_mean(st_dist, alive)
-            self._features(
-                features, t, names, pos, turn, lin, energy, charging, alive, occupied,
-                (to_station, station_ok),
-            )
-            counted = in_trial & station_ok
-            station_sum += to_station * counted
-            station_count += counted
-            if record:
-                frames.append(dict(
-                    pos=pos, turn=turn, lin=lin, energy=energy, charging=charging,
-                    alive=alive, occupied=occupied, heading=heading, wheels=wheels,
-                ))
-
-            ending = ~done & (alive.sum(axis=1) == 0)
-            steps = np.where(ending, t + 1, steps)
-            done = done | ending
-
+    def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = self.params
+        n = p.n_robots
         # a trial's robots stop changing once it ends, so the final state
         # holds each trial's survivors
-        survivors = alive.sum(axis=1)
-        mean_energy = energy_integral / (n * tau)
+        survivors = s.alive.sum(axis=1)
+        mean_energy = s.energy_integral / (n * p.max_steps)
         fitness = (survivors + mean_energy / p.e_max) / (1.0 + n)
-        mean_station = station_sum / np.maximum(station_count, 1)
+        mean_station = s.station_sum / np.maximum(s.station_count, 1)
         ts = np.stack(
             [
                 survivors / n,
                 mean_energy / p.e_max,
-                speed_sum / np.maximum(alive_steps, 1) / p.v_max,
+                s.speed_sum / np.maximum(s.alive_steps, 1) / p.v_max,
                 mean_station / self.station_reach,
             ],
             axis=-1,
         )
-        return TrialBatch(
-            steps=steps,
-            fitness=fitness,
-            features=features[:t_used],
-            ts_chars=np.clip(ts, 0.0, 1.0),
-            record=stack_record(frames, steps) if record else None,
-        )
-
-    def _features(
-        self,
-        features: np.ndarray,
-        t: int,
-        names: tuple[str, ...],
-        pos: np.ndarray,
-        turn: np.ndarray,
-        lin: np.ndarray,
-        energy: np.ndarray,
-        charging: np.ndarray,
-        alive: np.ndarray,
-        occupied: np.ndarray,
-        to_station: tuple[np.ndarray, np.ndarray],
-    ) -> None:
-        """Write step `t`'s feature row from the batch's (B, N) state; the
-        alive robots form the agents group."""
-        x, y = pos[..., 0], pos[..., 1]
-        write_feature_row(features, t, names, {
-            "agents group size": alive.sum(axis=1) / self.params.n_robots,
-            "agents x": masked_mean(x, alive),
-            "agents y": masked_mean(y, alive),
-            "agents turning speed": masked_mean(turn, alive),
-            "agents linear speed": masked_mean(lin, alive),
-            "agents energy level": masked_mean(energy, alive),
-            "agents is charging": masked_mean(charging, alive),
-            "station is occupied": occupied,
-            "agents dispersion": group_dispersion_series(pairwise_distances(x, y), alive),
-            "agents-station distance": to_station,
-        })
+        return fitness, ts
 
     def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
         specs = self.group_specs()

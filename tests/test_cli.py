@@ -14,7 +14,7 @@ from sdbc.config import (
     default_config_text,
     load_config,
 )
-from sdbc.runio import load_genome_file, read_generations, read_meta
+from sdbc.runio import is_complete, load_genome_file, read_generations, read_meta
 from sdbc.tasks import make_task
 from sdbc.tasks.predator_prey import pursuit_fitness
 
@@ -147,6 +147,49 @@ class TestRun:
         a = (tmp_path / "full/run_000/generations.csv").read_bytes()
         b = (tmp_path / "resumed/run_000/generations.csv").read_bytes()
         assert a == b
+
+    def test_crash_during_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, {"ga.generations": 5}, checkpoint_every=2)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "full")]) == 0
+
+        real_savez = np.savez
+        calls = []
+
+        def savez_dying_midway(fh, **arrays):
+            calls.append(arrays["generation"])
+            if len(calls) == 1:
+                return real_savez(fh, **arrays)
+            fh.write(b"PK\x03\x04 half a checkpoint")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_dying_midway)
+        run = tmp_path / "crashed/run_000"
+        with pytest.raises(OSError, match="disk full"):
+            execute_run(load_config(cfg_path), run)
+        monkeypatch.undo()
+        assert calls == [2, 4]
+        assert int(np.load(run / "checkpoint.npz")["generation"]) == 2
+        assert not list(run.glob("*.tmp"))
+        assert main([
+            "run", "--config", str(cfg_path), "--out", str(tmp_path / "crashed"), "--resume"
+        ]) == 0
+        a = (tmp_path / "full/run_000/generations.csv").read_bytes()
+        b = (run / "generations.csv").read_bytes()
+        assert a == b
+
+    def test_parallel_reports_every_run_when_one_fails(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "run_001").write_text("a file where the run directory should go\n")
+        assert main([
+            "run", "--config", str(cfg_path), "--runs", "2", "--parallel", "2",
+            "--out", str(out),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert f"{out / 'run_000'}: best fitness" in captured.out
+        assert f"{out / 'run_001'}: failed: FileExistsError" in captured.err
+        assert is_complete(out / "run_000")
 
     def test_run_record_contents(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -96,6 +96,24 @@ class TestController:
             block = x[k * 4 : (k + 1) * 4]
             assert got[k * 4 : (k + 1) * 4] == pytest.approx(single(block), abs=1e-12)
 
+    def test_stacked_rows_in_any_order_match_each_network(self):
+        # finished trials leave the batch, so rows arrive as any subset
+        rng = np.random.default_rng(17)
+        genomes = rng.normal(size=(6, SPEC.genome_length))
+        stacked = StackedControllers(genomes, SPEC)
+        x = rng.normal(size=(6 * 5, SPEC.inputs))
+        subset = np.sort(rng.choice(len(x), 13, replace=False))
+        blocks = np.repeat(np.arange(6), 5)
+        assert np.array_equal(stacked(x[subset], blocks[subset]), stacked(x)[subset])
+        networks = rng.integers(0, 6, len(x))
+        got = stacked(x, networks)
+        for k in range(6):
+            single = build_controller(genomes[k], SPEC)
+            rows = networks == k
+            assert np.array_equal(got[rows], single(x[rows]))
+            for i in np.nonzero(rows)[0]:
+                assert np.array_equal(got[i], single(x[i : i + 1])[0])
+
 
 class TestMutate:
     def test_zero_probability_identity(self):

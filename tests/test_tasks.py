@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sdbc.evolution import ControllerSpec, build_controller, evaluate
+from sdbc.evolution import ControllerSpec, StackedControllers, build_controller, evaluate
 from sdbc.formalism import extract_feature_series
 from sdbc.tasks import make_task
 from sdbc.tasks.base import pairwise_distances
@@ -151,10 +151,11 @@ def assert_matches_formal_extractor(task, batch):
     ],
 )
 def test_vectorised_features_match_formal_extractor(name, overrides):
+    # fixed controller seeds, so every run checks the same controllers
     task = make_task(name, overrides)
-    ctrl = random_controller(task, seed=hash(name) % 1000)
-    batch = task.simulate(ctrl, [11, 12, 13])
-    assert_matches_formal_extractor(task, batch)
+    for seed in (7, 31):
+        batch = task.simulate(random_controller(task, seed), [11, 12, 13])
+        assert_matches_formal_extractor(task, batch)
 
 
 @pytest.mark.parametrize(
@@ -275,6 +276,73 @@ def test_recording_does_not_change_results(name, overrides, oracle):
     assert rec["pos"].shape[:2] == rec["wheels"].shape[:2] == plain.features.shape[:2]
     expected = np.clip(oracle(task, rec), 0.0, 1.0)
     assert recorded.ts_chars == pytest.approx(expected, abs=1e-12)
+
+
+# configurations whose trials end at widely different steps, so the loop
+# drops finished trials from the batch many times
+STAGGERED_ENDS = [
+    ("resource_sharing", {"max_steps": 150, "start_energy": 12.0}, 1),
+    (
+        "gate_escape",
+        {"max_steps": 150, "v_max": 0.4, "gate_width": 0.6, "gate_close_delay": 5,
+         "grace_steps": 5},
+        0,
+    ),
+    (
+        "predator_prey",
+        {"max_steps": 150, "prey_spawn_min": 0.2, "prey_spawn_max": 2.9, "prey_sense": 5.0,
+         "zone_radius": 2.0},
+        0,
+    ),
+]
+
+
+def assert_trials_match_solo_runs(task, batch, solo):
+    """Each trial of `batch` equals `solo(b)`, the same trial simulated
+    alone, bit for bit; its rows past its end repeat its final row."""
+    for b, steps in enumerate(batch.steps):
+        alone = solo(b)
+        assert alone.steps[0] == steps, b
+        assert alone.fitness[0] == batch.fitness[b], b
+        assert np.array_equal(alone.ts_chars[0], batch.ts_chars[b]), b
+        series = [(batch.features, alone.features)]
+        series += [(batch.record[k], alone.record[k]) for k in task.record_keys]
+        for together, single in series:
+            assert np.array_equal(together[:steps, b], single[:, 0]), b
+            assert (together[steps:, b] == together[steps - 1, b]).all(), b
+
+
+@pytest.mark.parametrize("name,overrides,genome_seed", STAGGERED_ENDS)
+def test_finished_trials_leave_the_batch_without_changing_results(
+    name, overrides, genome_seed
+):
+    task = make_task(name, overrides)
+    spec = ControllerSpec(task.n_inputs, 6, task.n_outputs)
+    genomes = np.random.default_rng(genome_seed).uniform(-2, 2, (4, spec.genome_length))
+    networks = np.repeat(np.arange(4), 3)
+    batch = task.simulate(StackedControllers(genomes, spec), list(range(12)), networks=networks)
+    assert len(set(batch.steps.tolist())) >= 5
+    assert batch.steps.min() < batch.features.shape[0] // 3
+    assert_trials_match_solo_runs(
+        task, batch,
+        lambda b: task.simulate(build_controller(genomes[networks[b]], spec), [b]),
+    )
+
+
+def test_plain_callable_drives_the_compacted_loop():
+    task = make_task("resource_sharing", {"max_steps": 150, "start_energy": 12.0})
+    rows_seen = []
+
+    def ctrl(x):
+        rows_seen.append(x.shape[0])
+        return np.tanh(3.0 * x[:, 1:3] - x[:, 4:6])
+
+    seeds = list(range(8))
+    batch = task.simulate(ctrl, seeds)
+    n = task.params.n_robots
+    assert rows_seen == [n * int((batch.steps > t).sum()) for t in range(len(rows_seen))]
+    assert rows_seen[-1] < rows_seen[0]
+    assert_trials_match_solo_runs(task, batch, lambda b: task.simulate(ctrl, [seeds[b]]))
 
 
 class TestGateEscapeBehaviour:
