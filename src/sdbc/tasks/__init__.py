@@ -32,7 +32,11 @@ def make_task(name: str, overrides: dict[str, Any] | None = None) -> Task:
     for k in overrides:
         if k not in valid:
             raise ValueError(f"unknown parameter {k!r} for task {key!r}")
-    return cls(params_cls(**overrides))
+    task = cls(params_cls(**overrides))
+    if task.max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {task.max_steps}")
+    task.group_specs()  # a GroupSpec out of its size bounds (e.g. no robots) raises here
+    return task
 
 
 __all__ = [

@@ -1,35 +1,61 @@
-"""Shared machinery for the benchmark tasks, including the one lockstep
-simulation loop all of them run.
+"""Shared machinery for the benchmark tasks: the one lockstep simulation
+loop all of them run, and the one behaviour-feature extractor.
 
 `Task.simulate` advances a batch of trials step by step: sense, act
 through the controller, mask the wheels of robots that no longer move,
 move, resolve collisions, apply the task's own rules, then write the
-step's behaviour features from the batch's current (B, N) state.
-A task supplies only its initial state (`_reset`), its sensors, its step
-rules (`_step`), its feature row (`_features`) and its fitness and
-task-specific characterisation (`_finish`).  Per-trial working state lives
-in one namespace of arrays with the live trials on the leading axis, so
-the loop can compact it: when a trial ends, its final state is stored in
-full-size results and its row is dropped from every working array, and
-later steps simulate the live trials only.  Raw per-step state is kept
-only when `simulate(..., record=True)` asks for it.  The formal snapshot
-adapter rebuilds entity groups from that record, so the fast path can be
-checked against the reference extractor.
+step's behaviour features.  A task supplies only its initial state
+(`_reset`), its sensors, its step rules (`_step`), its group view
+(`_groups`) and its fitness and task-specific characterisation
+(`_finish`).  Per-trial working state lives in one namespace of arrays
+with the live trials on the leading axis, so the loop can compact it:
+when a trial ends, its final state is stored in full-size results and its
+row is dropped from every working array, and later steps simulate the
+live trials only.  Raw per-step state is kept only when
+`simulate(..., record=True)` asks for it.
+
+The group view is the task's formal description of one step: for each
+declared `GroupSpec`, which slots are members and their attribute
+columns, plus the geometry of a static entity.  The vectorised feature
+row (`write_features`, inside the step loop) and the formal
+`TaskStateSnapshot` read by the reference extractor (`Task.snapshot`, on
+a recorded step) are both derived from it, so no task maps feature names
+by hand and the fast path can be checked against the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..formalism import GroupSpec, TaskStateSnapshot, feature_schema
+from ..formalism import (
+    GEOM_CIRCLE,
+    GEOM_POINT,
+    GEOM_SEGMENTS,
+    EntityGroup,
+    EntityState,
+    GroupSpec,
+    TaskStateSnapshot,
+    feature_schema,
+    geometry_distance,
+)
 from ..characterisation import characterisation_schema
 from ..simulation import normalize_angle, resolve_collisions_arrays, step_kinematics_arrays
 
 Controller = Callable[..., np.ndarray]
+
+# One group of a step's group view: (member, attrs, props).  `member` is a
+# (B, N) bool mask, or None when every slot is a member.  `attrs` holds the
+# group's kappa attribute columns, each (B, N).  `props` is None for a body
+# group, whose position is attrs[0], attrs[1] (the formalism's GEOM_BODY
+# rule); for a static entity it is its GEOM_POINT, GEOM_SEGMENTS or
+# GEOM_CIRCLE props tuple, and the entity is the group's one slot (N = 1),
+# always a member (member None).
+GroupView = tuple[np.ndarray | None, Sequence[np.ndarray], tuple[float, ...] | None]
 
 _NO_WALLS = np.empty((0, 4))
 
@@ -55,7 +81,8 @@ class Task:
     A concrete task provides `params` (with `dt`, `v_max`, `axle` and
     `robot_radius`), names in `movers` the (B, N) state mask of robots
     whose wheels act, and lists in `record_keys` the state fields that
-    `record=True` keeps for `snapshot`.
+    `record=True` keeps.  These include every field `_groups` reads, so
+    `snapshot` can rebuild the group view of any recorded step.
     """
 
     name: str = ""
@@ -97,7 +124,8 @@ class Task:
         """
         p = self.params
         b, tau = len(seeds), self.max_steps
-        names = self.feature_names()
+        specs, excluded = self.group_specs(), self.excluded_pairs()
+        n_features = len(self.feature_names())
         s = self._reset(seeds)
         n = s.pos.shape[1]
         if networks is not None:
@@ -105,8 +133,8 @@ class Task:
         live = np.arange(b)
         rows = live[:, None]
         steps = np.full(b, tau)
-        row = np.zeros((b, len(names)))  # the last feature row of each live trial
-        features = np.empty((tau, b, len(names)))
+        row = np.zeros((b, n_features))  # the last feature row of each live trial
+        features = np.empty((tau, b, n_features))
         final: dict[str, np.ndarray] = {}
         frames: list[tuple[np.ndarray, dict]] = []
 
@@ -131,7 +159,7 @@ class Task:
             s.turn = p.v_max * (right - left) / p.axle
             s.lin = p.v_max * (left + right) / 2.0
             ending = self._step(s, t, move)
-            self._features(row, names, s)
+            write_features(row, self._groups(s), specs, excluded)
             features[t, live] = row
             if record:
                 frames.append((live, {key: getattr(s, key) for key in self.record_keys}))
@@ -170,8 +198,9 @@ class Task:
         trials that end with this step."""
         raise NotImplementedError
 
-    def _features(self, row: np.ndarray, names: tuple[str, ...], s: SimpleNamespace) -> None:
-        """Write the step's (B, F) feature row from the state."""
+    def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
+        """The step's group view: one `(member, attrs, props)` entry per
+        `group_specs()` entry, in order (see `GroupView`)."""
         raise NotImplementedError
 
     def _finish(
@@ -182,24 +211,125 @@ class Task:
         raise NotImplementedError
 
     def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
-        """Formal task-state view of one recorded trial step."""
-        raise NotImplementedError
+        """Formal task-state view of one recorded trial step: the group
+        view of that step, one entity per member slot."""
+        s = SimpleNamespace(**{key: rec[key][step, trial][None] for key in self.record_keys})
+        groups = []
+        for spec, (member, attrs, props) in zip(self.group_specs(), self._groups(s), strict=True):
+            slots = range(_count(None, attrs, props))
+            entities = tuple(
+                EntityState(tuple(float(a[0, i]) for a in attrs), props or ())
+                for i in slots
+                if member is None or member[0, i]
+            )
+            groups.append(EntityGroup(spec, entities))
+        return TaskStateSnapshot(tuple(groups), geometry_distance, self.excluded_pairs())
 
 
-def write_feature_row(row: np.ndarray, names: Sequence[str], columns: dict) -> None:
-    """Overwrite the (B, F) feature `row` in schema order.
+def write_features(
+    row: np.ndarray,
+    view: Sequence[GroupView],
+    specs: Sequence[GroupSpec],
+    excluded: frozenset[frozenset[str]],
+) -> None:
+    """Overwrite the (B, F) feature `row` from one step's group view.
 
-    `columns` maps every name in `names` to its (B,) values, or to a
-    (values, defined) pair for a feature that the group contents can leave
-    undefined.  An undefined entry keeps the value `row` holds from the
-    step before (0 before the first step).
+    Columns follow `feature_schema(specs, excluded)`: group sizes, mean
+    attributes, dispersions, then pair distances.  An undefined value (an
+    empty group, or a dispersion of fewer than two members) keeps the value
+    `row` holds from the step before (0 before the first step), as in
+    `formalism.extract_features`.
     """
-    for k, name in enumerate(names):
-        column = columns[name]
-        if isinstance(column, tuple):
-            values, defined = column
-            column = np.where(defined, values, row[:, k])
-        row[:, k] = column
+    if len(view) != len(specs):
+        raise ValueError(f"group view has {len(view)} groups, the task declares {len(specs)}")
+    columns = []  # (values, defined), where defined None means everywhere
+    for spec, (member, attrs, props) in zip(specs, view):
+        if len(attrs) != spec.kappa:
+            raise ValueError(
+                f"group {spec.name!r}: view has {len(attrs)} attribute columns, "
+                f"kappa is {spec.kappa}"
+            )
+        if props is not None and member is not None:
+            raise ValueError(f"group {spec.name!r}: a static entity is always a member")
+        if spec.eta_max > spec.eta_min:
+            size = _count(member, attrs, props) - spec.eta_min
+            columns.append((size / (spec.eta_max - spec.eta_min), None))
+    for member, attrs, _ in view:  # one member count serves all of a group's means
+        if member is None:
+            columns += [(values.mean(axis=-1), None) for values in attrs]
+            continue
+        count = member.sum(axis=-1)
+        denom, defined = np.maximum(count, 1), count > 0
+        columns += [((values * member).sum(axis=-1) / denom, defined) for values in attrs]
+    for spec, (member, attrs, props) in zip(specs, view):
+        if spec.eta_max > 1:
+            n = _count(member, attrs, props)
+            dist = pairwise_distances(attrs[0], attrs[1])
+            if member is not None:
+                dist = dist * (member[..., :, None] & member[..., None, :])
+            # the zero diagonal adds nothing: this is the ordered-pair sum
+            columns.append((dist.sum(axis=(-2, -1)) / np.maximum(n - 1, 1) ** 2, n >= 2))
+    for i, j in combinations(range(len(specs)), 2):
+        if frozenset((specs[i].name, specs[j].name)) not in excluded:
+            columns.append(_pair_distance(view[i], view[j]))
+    if len(columns) != row.shape[1]:
+        raise ValueError(f"group view yields {len(columns)} features, schema has {row.shape[1]}")
+    for k, (values, defined) in enumerate(columns):
+        row[:, k] = values if defined is None else np.where(defined, values, row[:, k])
+
+
+def _count(
+    member: np.ndarray | None, attrs: Sequence[np.ndarray], props: tuple | None
+) -> np.ndarray | int:
+    """(B,) member count of a group, or its slot count when every slot is a
+    member."""
+    if member is not None:
+        return member.sum(axis=-1)
+    return 1 if props is not None else attrs[0].shape[-1]
+
+
+def _pair_distance(a: GroupView, b: GroupView) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mean distance over the member pairs of two groups, and where it is
+    defined."""
+    if a[2] is not None and b[2] is None:  # a body group goes first
+        a, b = b, a
+    (ma, attrs_a, pa), (mb, attrs_b, pb) = a, b
+    if pa is not None:  # two static entities
+        return geometry_distance(EntityState((), pa), EntityState((), pb)), None
+    if pb is not None:
+        return masked_mean(static_distance(attrs_a[0], attrs_a[1], pb), ma)
+    d = np.hypot(
+        attrs_a[0][..., :, None] - attrs_b[0][..., None, :],
+        attrs_a[1][..., :, None] - attrs_b[1][..., None, :],
+    )
+    flat = d.shape[:-2] + (-1,)
+    both = (True if ma is None else ma[..., :, None]) & (True if mb is None else mb[..., None, :])
+    return masked_mean(d.reshape(flat), np.broadcast_to(both, d.shape).reshape(flat))
+
+
+def static_distance(x: np.ndarray, y: np.ndarray, props: tuple[float, ...]) -> np.ndarray:
+    """Distance from each point (x, y) to a static entity: the vectorised
+    form of `formalism.geometry_distance`."""
+    tag = props[0]
+    if tag == GEOM_POINT:
+        return np.hypot(x - props[1], y - props[2])
+    if tag == GEOM_CIRCLE:
+        return np.abs(np.hypot(x - props[1], y - props[2]) - props[3])
+    if tag == GEOM_SEGMENTS:
+        return segment_distance(x, y, np.reshape(props[1:], (-1, 4)))
+    raise ValueError(f"unsupported geometry tag {tag!r}")
+
+
+def segment_distance(x: np.ndarray, y: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Distance from each point (x, y) to the nearest of the (S, 4)
+    segments (x1, y1, x2, y2), written out per component."""
+    ax, ay = segments[:, 0], segments[:, 1]
+    ex, ey = segments[:, 2] - ax, segments[:, 3] - ay
+    seg_sq = np.maximum(ex * ex + ey * ey, 1e-30)
+    rx, ry = x[..., None] - ax, y[..., None] - ay
+    t = np.clip((rx * ex + ry * ey) / seg_sq, 0.0, 1.0)
+    dx, dy = rx - t * ex, ry - t * ey
+    return np.sqrt(dx * dx + dy * dy).min(axis=-1)
 
 
 def hold_final_rows(series: np.ndarray, steps: np.ndarray) -> None:
@@ -225,13 +355,17 @@ def assemble_record(
     return rec
 
 
-def masked_mean(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def masked_mean(
+    values: np.ndarray, mask: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Mean of `values` over the last axis where `mask`; also returns the
-    defined-ness (any element selected)."""
+    defined-ness (any element selected).  A None mask selects every
+    element and is defined everywhere (None)."""
+    if mask is None:
+        return values.mean(axis=-1), None
     count = mask.sum(axis=-1)
     total = (values * mask).sum(axis=-1)
-    defined = count > 0
-    return total / np.maximum(count, 1), defined
+    return total / np.maximum(count, 1), count > 0
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -265,21 +399,6 @@ def nearest_neighbor_sensor(
     rng_col = np.where(sensed, nd / sense_range, 1.0)
     bear_col = np.where(sensed, bearing / np.pi, 0.0)
     return rng_col, bear_col
-
-
-def group_dispersion_series(dist: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group dispersion for any leading shape.
-
-    `dist` is (..., N, N) pair distances, `member` (..., N) membership.
-    Returns the (...) dispersion (ordered-pair sum over (n-1)^2) and its
-    defined-ness (n >= 2).
-    """
-    pair_mask = member[..., :, None] & member[..., None, :]
-    n = member.sum(axis=-1)
-    total = (dist * pair_mask).sum(axis=(-2, -1))  # diagonal is zero distance
-    defined = n >= 2
-    denom = np.maximum(n - 1, 1) ** 2
-    return total / denom, defined
 
 
 def random_positions(

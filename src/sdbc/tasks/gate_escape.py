@@ -11,23 +11,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ..formalism import (
-    GEOM_POINT,
-    GEOM_SEGMENTS,
-    EntityGroup,
-    EntityState,
-    GroupSpec,
-    TaskStateSnapshot,
-    geometry_distance,
-)
+from ..formalism import GEOM_POINT, GEOM_SEGMENTS, GroupSpec
 from ..simulation import range_bearing_arrays
 from .base import (
+    GroupView,
     Task,
     masked_mean,
     nearest_neighbor_sensor,
     pairwise_distances,
     random_positions,
-    write_feature_row,
 )
 
 
@@ -68,7 +60,7 @@ class GateEscapeTask(Task):
         half = params.gate_width / 2.0
         self.gate_center = (s / 2.0, s)
         gx1, gx2 = s / 2.0 - half, s / 2.0 + half
-        # static walls; the segment that closes the gate is the gate's own
+        # the walls group: the box outline, open across the gate
         self.walls = np.array(
             [
                 (0.0, 0.0, s, 0.0),
@@ -78,7 +70,6 @@ class GateEscapeTask(Task):
                 (0.0, s, 0.0, 0.0),
             ]
         )
-        self.closing_segment = np.array([(gx1, s, gx2, s)])
         self.diagonal = math.hypot(s, s)
 
     @property
@@ -155,15 +146,6 @@ class GateEscapeTask(Task):
         x[..., 5] = (s.escaped / p.n_robots)[:, None]
         return x
 
-    def _wall_distance(self, pos: np.ndarray) -> np.ndarray:
-        a = self.walls[:, 0:2]
-        d = self.walls[:, 2:4] - a
-        seg_sq = np.maximum((d * d).sum(axis=1), 1e-30)
-        rel = pos[..., None, :] - a
-        t = np.clip((rel * d).sum(axis=-1) / seg_sq, 0.0, 1.0)
-        delta = rel - t[..., None] * d
-        return np.sqrt((delta * delta).sum(axis=-1)).min(axis=-1)
-
     def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
         p = self.params
         n = p.n_robots
@@ -186,19 +168,17 @@ class GateEscapeTask(Task):
         ).astype(float)
         s.closing = (s.first_pass >= 0).astype(float)
 
-        # the gate distance and the ordered-pair distance total serve
-        # both the features and the task-specific characterisation
+        # running sums of the gate distance and the mean pair distance,
+        # for the task-specific characterisation
         gate_d = np.hypot(pos[..., 0] - cx, pos[..., 1] - cy)
-        s.to_gate, s.gate_ok = masked_mean(gate_d, active)
+        to_gate, gate_ok = masked_mean(gate_d, active)
         dist = pairwise_distances(pos[..., 0], pos[..., 1])
         n_active = active.sum(axis=1)
         pair_total = (dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
-        s.dispersion = pair_total / np.maximum(n_active - 1, 1) ** 2
-        s.dispersion_ok = n_active >= 2
-        s.gate_sum += s.to_gate * s.gate_ok
-        s.gate_count += s.gate_ok
+        s.gate_sum += to_gate * gate_ok
+        s.gate_count += gate_ok
         n_pairs = np.maximum(n_active * (n_active - 1), 1)
-        s.disp_sum += np.where(s.dispersion_ok, pair_total / n_pairs, 0.0)
+        s.disp_sum += np.where(n_active >= 2, pair_total / n_pairs, 0.0)
 
         closed_out = (s.first_pass >= 0) & (
             t >= s.first_pass + p.gate_close_delay + p.grace_steps
@@ -259,57 +239,11 @@ class GateEscapeTask(Task):
             )
         return pos
 
-    def _features(self, row: np.ndarray, names: tuple[str, ...], s: SimpleNamespace) -> None:
-        """Write the step's feature row from the batch's (B, N) state; the
-        robots still inside form the agents group."""
-        pos, active = s.pos, s.active
-        columns = {
-            "agents group size": active.sum(axis=1) / self.params.n_robots,
-            "agents x": masked_mean(pos[..., 0], active),
-            "agents y": masked_mean(pos[..., 1], active),
-            "agents turning speed": masked_mean(s.turn, active),
-            "agents linear speed": masked_mean(s.lin, active),
-            "agents is passing gate": masked_mean(s.passing, active),
-            "gate is closing": s.closing,
-            "agents dispersion": (s.dispersion, s.dispersion_ok),
-            "agents-gate distance": (s.to_gate, s.gate_ok),
-            "agents-walls distance": masked_mean(self._wall_distance(pos), active),
-        }
-        if not self.params.published_layout:
-            columns["gate-walls distance"] = self._gate_wall_distance()
-        write_feature_row(row, names, columns)
-
-    def _gate_wall_distance(self) -> float:
-        gate = EntityState((0.0,), (GEOM_POINT, *self.gate_center))
-        return geometry_distance(gate, self._walls_entity())
-
-    def _walls_entity(self) -> EntityState:
-        return EntityState((), (GEOM_SEGMENTS, *self.walls.ravel()))
-
-    def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
-        specs = self.group_specs()
-        robots = tuple(
-            EntityState(
-                (
-                    float(rec["pos"][step, trial, i, 0]),
-                    float(rec["pos"][step, trial, i, 1]),
-                    float(rec["turn"][step, trial, i]),
-                    float(rec["lin"][step, trial, i]),
-                    float(rec["passing"][step, trial, i]),
-                )
-            )
-            for i in range(self.params.n_robots)
-            if rec["active"][step, trial, i]
-        )
-        gate = EntityState(
-            (float(rec["closing"][step, trial]),), (GEOM_POINT, *self.gate_center)
-        )
-        return TaskStateSnapshot(
-            groups=(
-                EntityGroup(specs[0], robots),
-                EntityGroup(specs[1], (gate,)),
-                EntityGroup(specs[2], (self._walls_entity(),)),
-            ),
-            distance=geometry_distance,
-            excluded_pairs=self.excluded_pairs(),
+    def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
+        """The robots still inside form the agents group; the gate is a
+        point and the walls are segments."""
+        return (
+            (s.active, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin, s.passing), None),
+            (None, (s.closing[:, None],), (GEOM_POINT, *self.gate_center)),
+            (None, (), (GEOM_SEGMENTS, *self.walls.ravel())),
         )

@@ -10,16 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..formalism import (
-    GEOM_CIRCLE,
-    EntityGroup,
-    EntityState,
-    GroupSpec,
-    TaskStateSnapshot,
-    geometry_distance,
-)
+from ..formalism import GEOM_CIRCLE, GroupSpec
 from ..simulation import normalize_angle
-from .base import Task, group_dispersion_series, pairwise_distances, write_feature_row
+from .base import GroupView, Task, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -185,7 +178,7 @@ class PredatorPreyTask(Task):
         )
         s.prey_lin = np.where(moving, prey_speed, 0.0)
 
-        s.prey_dist = pd = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
+        pd = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
         caught = s.present & (pd.min(axis=1) <= 2.0 * p.robot_radius)
         escaped = s.present & ~caught & (np.hypot(prey[:, 0], prey[:, 1]) > p.zone_radius)
         s.present = s.present & ~caught
@@ -217,64 +210,12 @@ class PredatorPreyTask(Task):
         )
         return fitness, ts
 
-    def _features(self, row: np.ndarray, names: tuple[str, ...], s: SimpleNamespace) -> None:
-        """Write the step's feature row from the batch's state: (B, N)
-        predators, (B,) prey.  Under the published layout the prey group
-        empties on capture, so its features carry forward from then on."""
-        p = self.params
-        x, y, prey, present = s.pos[..., 0], s.pos[..., 1], s.prey, s.present
-        prey_defined = present if p.published_layout else True
-        all_predators = np.ones(present.shape + (p.n_predators,), dtype=bool)
-        prey_bounds = np.abs(np.hypot(prey[:, 0], prey[:, 1]) - p.zone_radius)
-        write_feature_row(row, names, {
-            "prey group size": present.astype(float),
-            "predators x": x.mean(axis=1),
-            "predators y": y.mean(axis=1),
-            "predators turning speed": s.turn.mean(axis=1),
-            "predators linear speed": s.lin.mean(axis=1),
-            "prey x": (prey[:, 0], prey_defined),
-            "prey y": (prey[:, 1], prey_defined),
-            "prey turning speed": (s.prey_turn, prey_defined),
-            "prey linear speed": (s.prey_lin, prey_defined),
-            "predators dispersion": group_dispersion_series(
-                pairwise_distances(x, y), all_predators
-            )[0],
-            "predators-prey distance": (s.prey_dist.mean(axis=1), prey_defined),
-            "predators-bounds distance": np.abs(np.hypot(x, y) - p.zone_radius).mean(axis=1),
-            "prey-bounds distance": (prey_bounds, prey_defined),
-        })
-
-    def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
-        specs = self.group_specs()
-        predators = tuple(
-            EntityState(
-                (
-                    float(rec["pos"][step, trial, i, 0]),
-                    float(rec["pos"][step, trial, i, 1]),
-                    float(rec["turn"][step, trial, i]),
-                    float(rec["lin"][step, trial, i]),
-                )
-            )
-            for i in range(self.params.n_predators)
-        )
-        prey_entities: tuple[EntityState, ...] = ()
-        if rec["present"][step, trial] or not self.params.published_layout:
-            prey_entities = (
-                EntityState(
-                    (
-                        float(rec["prey"][step, trial, 0]),
-                        float(rec["prey"][step, trial, 1]),
-                        float(rec["prey_turn"][step, trial]),
-                        float(rec["prey_lin"][step, trial]),
-                    )
-                ),
-            )
-        bounds = EntityState((), (GEOM_CIRCLE, 0.0, 0.0, self.params.zone_radius))
-        return TaskStateSnapshot(
-            groups=(
-                EntityGroup(specs[0], predators),
-                EntityGroup(specs[1], prey_entities),
-                EntityGroup(specs[2], (bounds,)),
-            ),
-            distance=geometry_distance,
+    def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
+        """Every predator is a member; under the published layout a
+        captured prey leaves its group, so its features carry forward."""
+        prey = (s.prey[:, 0:1], s.prey[:, 1:2], s.prey_turn[:, None], s.prey_lin[:, None])
+        return (
+            (None, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin), None),
+            (s.present[:, None] if self.params.published_layout else None, prey, None),
+            (None, (), (GEOM_CIRCLE, 0.0, 0.0, self.params.zone_radius)),
         )

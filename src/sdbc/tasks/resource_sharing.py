@@ -10,24 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..formalism import (
-    GEOM_POINT,
-    EntityGroup,
-    EntityState,
-    GroupSpec,
-    TaskStateSnapshot,
-    geometry_distance,
-)
+from ..formalism import GEOM_POINT, GroupSpec
 from ..simulation import range_bearing_arrays
-from .base import (
-    Task,
-    group_dispersion_series,
-    masked_mean,
-    nearest_neighbor_sensor,
-    pairwise_distances,
-    random_positions,
-    write_feature_row,
-)
+from .base import GroupView, Task, masked_mean, nearest_neighbor_sensor, random_positions
 
 
 @dataclass(frozen=True)
@@ -74,15 +59,6 @@ class ResourceSharingTask(Task):
         self.params = params
         s = params.arena_size
         self.station = (s / 2.0, s / 2.0)
-        self.walls = np.array(
-            [
-                (0.0, 0.0, s, 0.0),
-                (s, 0.0, s, s),
-                (s, s, 0.0, s),
-                (0.0, s, 0.0, 0.0),
-            ]
-        )
-        self.diagonal = math.hypot(s, s)
         # largest possible distance from the station, for the TS vector
         corners = [(0, 0), (s, 0), (0, s), (s, s)]
         self.station_reach = max(math.hypot(c[0] - self.station[0], c[1] - self.station[1]) for c in corners)
@@ -200,27 +176,17 @@ class ResourceSharingTask(Task):
         s.alive_steps += alive.sum(axis=1)
         s.charging = (charging & alive).astype(float)
         s.occupied = (s.occupant >= 0).astype(float)
-        s.to_station, s.station_ok = masked_mean(st_dist, alive)
-        s.station_sum += s.to_station * s.station_ok
-        s.station_count += s.station_ok
+        to_station, station_ok = masked_mean(st_dist, alive)
+        s.station_sum += to_station * station_ok
+        s.station_count += station_ok
         return alive.sum(axis=1) == 0
 
-    def _features(self, row: np.ndarray, names: tuple[str, ...], s: SimpleNamespace) -> None:
-        """Write the step's feature row from the batch's (B, N) state; the
-        alive robots form the agents group."""
-        x, y, alive = s.pos[..., 0], s.pos[..., 1], s.alive
-        write_feature_row(row, names, {
-            "agents group size": alive.sum(axis=1) / self.params.n_robots,
-            "agents x": masked_mean(x, alive),
-            "agents y": masked_mean(y, alive),
-            "agents turning speed": masked_mean(s.turn, alive),
-            "agents linear speed": masked_mean(s.lin, alive),
-            "agents energy level": masked_mean(s.energy, alive),
-            "agents is charging": masked_mean(s.charging, alive),
-            "station is occupied": s.occupied,
-            "agents dispersion": group_dispersion_series(pairwise_distances(x, y), alive),
-            "agents-station distance": (s.to_station, s.station_ok),
-        })
+    def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
+        """The alive robots form the agents group; the station is a point."""
+        return (
+            (s.alive, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin, s.energy, s.charging), None),
+            (None, (s.occupied[:, None],), (GEOM_POINT, *self.station)),
+        )
 
     def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = self.params
@@ -241,30 +207,3 @@ class ResourceSharingTask(Task):
             axis=-1,
         )
         return fitness, ts
-
-    def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
-        specs = self.group_specs()
-        robots = tuple(
-            EntityState(
-                (
-                    float(rec["pos"][step, trial, i, 0]),
-                    float(rec["pos"][step, trial, i, 1]),
-                    float(rec["turn"][step, trial, i]),
-                    float(rec["lin"][step, trial, i]),
-                    float(rec["energy"][step, trial, i]),
-                    float(rec["charging"][step, trial, i]),
-                )
-            )
-            for i in range(self.params.n_robots)
-            if rec["alive"][step, trial, i]
-        )
-        station = EntityState(
-            (float(rec["occupied"][step, trial]),), (GEOM_POINT, *self.station)
-        )
-        return TaskStateSnapshot(
-            groups=(
-                EntityGroup(specs[0], robots),
-                EntityGroup(specs[1], (station,)),
-            ),
-            distance=geometry_distance,
-        )

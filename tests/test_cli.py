@@ -79,6 +79,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="archive_rate"):
             config_from_dict({"novelty": {"archive_rate": 1.5}})
 
+    @pytest.mark.parametrize(
+        "task,params,reason",
+        [
+            ("resource_sharing", {"max_steps": 0}, "max_steps"),
+            ("gate_escape", {"max_steps": -5}, "max_steps"),
+            ("resource_sharing", {"n_robots": 0}, "'agents'"),
+            ("gate_escape", {"n_robots": 0}, "'agents'"),
+            ("predator_prey", {"n_predators": 0}, "'predators'"),
+        ],
+    )
+    def test_task_params_without_steps_or_robots_rejected(self, task, params, reason):
+        # zero steps made fitness 0/0 and broke the record; zero robots
+        # leave a group below its declared size bounds
+        with pytest.raises(ConfigError, match=f"task_params: .*{reason}"):
+            config_from_dict({"task": task, "task_params": params})
+
     def test_type_validation(self):
         with pytest.raises(ConfigError, match="ga.population"):
             config_from_dict({"ga": {"population": "many"}})

@@ -1,18 +1,29 @@
 """Task fitness goldens, schema counts, characterisation ranges, and the
 equivalence of the vectorised feature path with the formal extractor."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from sdbc.evolution import ControllerSpec, StackedControllers, build_controller, evaluate
-from sdbc.formalism import extract_feature_series
+from sdbc.formalism import (
+    GEOM_CIRCLE,
+    GEOM_POINT,
+    GEOM_SEGMENTS,
+    EntityState,
+    extract_feature_series,
+)
 from sdbc.tasks import make_task
 from sdbc.tasks.base import pairwise_distances
 from sdbc.tasks.gate_escape import gate_fitness
 from sdbc.tasks.predator_prey import prey_policy, pursuit_fitness
-from sdbc.tasks.resource_sharing import sharing_fitness
+from sdbc.tasks.resource_sharing import (
+    ResourceSharingParams,
+    ResourceSharingTask,
+    sharing_fitness,
+)
 
 
 def null_controller(x):
@@ -176,6 +187,166 @@ def test_single_robot_groups_follow_the_schema(name, overrides):
     genome = np.random.default_rng(5).uniform(-1, 1, spec.genome_length)
     result = evaluate(genome, task, spec, [1, 2])
     assert result.raw_characterisation.schema == task.char_schema()
+
+
+class DroppedColumn(ResourceSharingTask):
+    """Its view of the agents group lacks the last attribute column."""
+
+    def _groups(self, s):
+        (member, attrs, props), station = super()._groups(s)
+        return (member, attrs[:-1], props), station
+
+
+class DroppedGroup(ResourceSharingTask):
+    """Its view lacks the station group."""
+
+    def _groups(self, s):
+        return super()._groups(s)[:1]
+
+
+class MaskedStation(ResourceSharingTask):
+    """Its view gives the static station a member mask."""
+
+    def _groups(self, s):
+        agents, (_, attrs, props) = super()._groups(s)
+        return agents, (s.occupied[:, None] > 0, attrs, props)
+
+
+class DroppedName(ResourceSharingTask):
+    """Its schema lacks the last feature name."""
+
+    def feature_names(self):
+        return super().feature_names()[:-1]
+
+
+@pytest.mark.parametrize(
+    "cls,message",
+    [
+        (DroppedColumn, "attribute columns"),
+        (DroppedGroup, "groups"),
+        (MaskedStation, "always a member"),
+        (DroppedName, "features"),
+    ],
+)
+def test_group_view_that_breaks_the_schema_is_rejected(cls, message):
+    task = cls(ResourceSharingParams(max_steps=5))
+    with pytest.raises(ValueError, match=message):
+        task.simulate(null_controller, [1])
+
+
+def one_step_record(**fields):
+    """A hand-built record of one trial and one step: every field becomes a
+    (T=1, B=1, ...) array."""
+    return {key: np.asarray(value)[None, None] for key, value in fields.items()}
+
+
+def entity_thetas(group):
+    return [e.theta for e in group.entities]
+
+
+def test_dead_sharing_robot_leaves_the_agents_group():
+    task = make_task("resource_sharing", {"n_robots": 3})
+    rec = one_step_record(
+        pos=[[0.5, 0.5], [1.0, 1.0], [1.5, 0.25]],
+        turn=[0.1, 0.2, 0.3],
+        lin=[0.01, 0.02, 0.03],
+        energy=[10.0, 0.0, 20.0],
+        charging=[0.0, 0.0, 1.0],
+        alive=[True, False, True],
+        occupied=1.0,
+        heading=[0.0, 0.0, 0.0],
+        wheels=[[0.0, 0.0]] * 3,
+    )
+    agents, station = task.snapshot(rec, 0, 0).groups
+    assert entity_thetas(agents) == [
+        (0.5, 0.5, 0.1, 0.01, 10.0, 0.0),
+        (1.5, 0.25, 0.3, 0.03, 20.0, 1.0),
+    ]
+    assert station.entities == (EntityState((1.0,), (GEOM_POINT, 1.0, 1.0)),)
+
+
+def test_escaped_gate_robot_leaves_the_agents_group():
+    task = make_task("gate_escape", {"n_robots": 2})
+    rec = one_step_record(
+        pos=[[1.0, 2.2], [0.5, 0.75]],
+        turn=[0.1, 0.2],
+        lin=[0.01, 0.02],
+        passing=[0.0, 0.0],
+        active=[False, True],
+        closing=1.0,
+        heading=[0.0, 0.0],
+        wheels=[[0.0, 0.0]] * 2,
+    )
+    agents, gate, walls = task.snapshot(rec, 0, 0).groups
+    assert entity_thetas(agents) == [(0.5, 0.75, 0.2, 0.02, 0.0)]
+    assert gate.entities == (EntityState((1.0,), (GEOM_POINT, 1.0, 2.0)),)
+    (outline,) = walls.entities
+    assert outline.theta == () and outline.props[0] == GEOM_SEGMENTS
+    assert len(outline.props) == 1 + 4 * 5
+
+
+@pytest.mark.parametrize("published,prey_members", [(True, 0), (False, 1)])
+def test_captured_prey_leaves_its_group_only_under_the_published_layout(
+    published, prey_members
+):
+    task = make_task("predator_prey", {"published_layout": published})
+    rec = one_step_record(
+        pos=[[0.0, 0.5], [0.2, 0.5], [0.4, 0.5]],
+        turn=[0.1, 0.2, 0.3],
+        lin=[0.01, 0.02, 0.03],
+        prey=[0.2, 0.55],
+        prey_turn=0.5,
+        prey_lin=0.12,
+        present=False,
+        heading=[0.0, 0.0, 0.0],
+        wheels=[[0.0, 0.0]] * 3,
+    )
+    predators, prey, bounds = task.snapshot(rec, 0, 0).groups
+    assert len(predators) == 3
+    assert entity_thetas(prey) == [(0.2, 0.55, 0.5, 0.12)] * prey_members
+    assert bounds.entities == (EntityState((), (GEOM_CIRCLE, 0.0, 0.0, 3.0)),)
+
+
+def chase_prey(x):
+    """Steer toward the sensed prey; inputs 0 and 1 are its range and bearing."""
+    bearing = x[:, 1]
+    return np.clip(np.stack([1.0 - 3.0 * bearing, 1.0 + 3.0 * bearing], axis=-1), -1.0, 1.0)
+
+
+FAST_GATE = {"max_steps": 150, "v_max": 0.4, "gate_width": 0.6, "gate_close_delay": 5,
+             "grace_steps": 5}
+SLOW_PREY = {"max_steps": 150, "prey_speed_factor": 0.3}
+
+# sha256 of (steps, fitness, ts_chars, features) of one small run per task
+# and layout, in which trials end at different steps (deaths, escapes,
+# captures).  Acceptance criterion 8 guards bit-identity of desk-scale
+# resource sharing alone; these guard the other tasks and layouts.  A change
+# that moves trajectories updates them and says why.  The pins are
+# bit-level, so another NumPy build or CPU may move them.
+TRAJECTORY_PINS = [
+    ("resource_sharing", {"max_steps": 150, "start_energy": 12.0}, 1,
+     "7c94bcd12d4b16a428fbc102c0d18eff1ff00a55d8717924d8ab05b55bd561b6"),
+    ("gate_escape", FAST_GATE, 0,
+     "7c95f63e543fb51a5d023b669b52e415006e3b871b1f0003d4b59dc2db6fb2d3"),
+    ("gate_escape", {**FAST_GATE, "published_layout": False}, 0,
+     "47ea2b388e1a62a922a6417fbd39004ecb4ac9c0f6229c217d84acabd857ca8c"),
+    ("predator_prey", SLOW_PREY, None,
+     "765f1c35773f3bd7c0848b4584c61d81970676d701aa89f74c4f3f69d434924b"),
+    ("predator_prey", {**SLOW_PREY, "published_layout": False}, None,
+     "e55f22c4e8b5050aae9ffe708ba2f11d157ffe2007e39ef32d7363458d2267b1"),
+]
+
+
+@pytest.mark.parametrize("name,overrides,genome_seed,digest", TRAJECTORY_PINS)
+def test_trajectories_match_their_pins(name, overrides, genome_seed, digest):
+    task = make_task(name, overrides)
+    ctrl = chase_prey if genome_seed is None else random_controller(task, genome_seed)
+    batch = task.simulate(ctrl, list(range(8)), record=False)
+    assert len(set(batch.steps.tolist())) >= 3
+    h = hashlib.sha256()
+    for a in (batch.steps, batch.fitness, batch.ts_chars, batch.features):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
 
 
 def in_trial_mask(rec):
