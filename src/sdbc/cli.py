@@ -10,6 +10,7 @@ the others carry on; `run` then exits with status 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import multiprocessing as mp
 import os
@@ -116,16 +117,20 @@ def execute_run(cfg: ExperimentConfig, run_dir: str | Path, resume: bool = False
 
 def _run_worker(payload: tuple[dict, str, bool]) -> dict:
     """One run; a failure is returned as the run's outcome, so that it
-    does not hide the outcomes of the other runs."""
+    does not hide the outcomes of the other runs.  Its traceback is also
+    left in the run directory as `error.txt`, which a later successful
+    run of that directory removes."""
     cfg_dict, run_dir, resume = payload
+    error_file = Path(run_dir) / "error.txt"
     try:
-        return execute_run(config_from_dict(cfg_dict), run_dir, resume)
+        result = execute_run(config_from_dict(cfg_dict), run_dir, resume)
+        error_file.unlink(missing_ok=True)
+        return result
     except Exception as exc:
-        return {
-            "run_dir": run_dir,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-        }
+        trace = traceback.format_exc()
+        with contextlib.suppress(OSError):  # e.g. the run directory is missing or a file
+            error_file.write_text(trace)
+        return {"run_dir": run_dir, "error": f"{type(exc).__name__}: {exc}", "traceback": trace}
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,6 +102,15 @@ def _segment_closest_points(pos: np.ndarray, walls: np.ndarray) -> np.ndarray:
     return a + t[..., None] * d
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """Every pair i < j of n robots in index order, as read-only index
+    arrays and as a tuple of (i, j)."""
+    first, second = np.triu_indices(n, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second, tuple(zip(first.tolist(), second.tolist()))
+
+
 def resolve_collisions_arrays(
     pos: np.ndarray,
     radius: float,
@@ -111,64 +121,57 @@ def resolve_collisions_arrays(
 ) -> np.ndarray:
     """Separate overlapping robot pairs and push robots out of walls.
 
-    `pos` is (B, N, 2); inactive robots are ignored.  Each pass visits
-    every pair i < j in index order ((0, 1), (0, 2), ..., (1, 2), ...),
-    then every wall in index order; each push sees the positions left by
-    the pushes before it, and a pair or wall that does not overlap in a
-    row leaves that row alone.  Passes repeat until no row overlaps or
-    `max_passes` is spent, and a row with no overlap left is unchanged
-    by further passes, so rows never affect each other: each row comes
-    out bit-identical to resolving it alone.  Pairs split the correction
+    `pos` is (B, N, 2); inactive robots are ignored.  A pass over a row
+    visits every pair i < j in index order ((0, 1), (0, 2), ..., (1, 2),
+    ...), then every wall in index order; each push sees the positions
+    left by the pushes before it, and a pair or wall that does not
+    overlap leaves the row alone.  Each pass first measures the pair and
+    wall distances of the rows still in play and keeps only those with
+    an overlap, so a row leaves as soon as it settles and gets at most
+    `max_passes` passes.  A settled row would be unchanged by further
+    passes, so rows never affect each other: each row comes out
+    bit-identical to resolving it alone.  Pairs split the correction
     evenly; a pair at identical centres separates along +x/-x by index
     order so the outcome is deterministic.  Returns `pos` itself when
-    nothing overlaps, a corrected copy otherwise.
+    nothing overlaps, a corrected copy otherwise; `pos` is never
+    modified.
     """
-    n = pos.shape[1]
-    pairs = list(zip(*np.triu_indices(n, 1)))
-    pair_ok = active[:, None, :] & active[:, :, None]
-    copied = False
+    first, second, pairs = _pairs(pos.shape[1])
+    out, rows, sub, ok = pos, np.arange(pos.shape[0]), pos, active
     for _ in range(max_passes):
-        dx = pos[..., :, None, 0] - pos[..., None, :, 0]
-        dy = pos[..., :, None, 1] - pos[..., None, :, 1]
-        pair_d = np.sqrt(dx * dx + dy * dy)
-        np.einsum("bii->bi", pair_d)[:] = np.inf
-        pair_hit = pair_ok & (pair_d < 2.0 * radius - tol)
-
-        wall_hit = False
+        dx = sub[:, first, 0] - sub[:, second, 0]
+        dy = sub[:, first, 1] - sub[:, second, 1]
+        pair_ok = ok[:, first] & ok[:, second]
+        hit = (pair_ok & (np.sqrt(dx * dx + dy * dy) < 2.0 * radius - tol)).any(axis=1)
         if walls.shape[0] > 0:
-            closest = _segment_closest_points(pos, walls)  # (B, N, W, 2)
-            delta = pos[:, :, None, :] - closest
+            delta = sub[:, :, None, :] - _segment_closest_points(sub, walls)
             wall_d = np.sqrt((delta * delta).sum(axis=-1))
-            wall_hit = (active[:, :, None] & (wall_d < radius - tol)).any()
-
-        if not pair_hit.any() and not wall_hit:
+            hit |= (ok[:, :, None] & (wall_d < radius - tol)).any(axis=(1, 2))
+        if not hit.any():
             break
-        if not copied:
-            pos = pos.copy()
-            copied = True
+        rows, sub, ok, pair_ok = rows[hit], sub[hit], ok[hit], pair_ok[hit]
 
-        if pair_hit.any():
-            for i, j in pairs:
-                delta = pos[:, j] - pos[:, i]
-                dist = np.sqrt((delta * delta).sum(axis=1))
-                overlap = pair_ok[:, i, j] & (dist < 2.0 * radius - tol)
-                if not overlap.any():
-                    continue
-                degenerate = overlap & (dist < 1e-12)
-                safe = np.where(dist > 1e-12, dist, 1.0)
-                unit = delta / safe[:, None]
-                unit[degenerate] = (1.0, 0.0)
-                push = np.where(overlap, (2.0 * radius - dist) * 0.5, 0.0)
-                pos[:, i] -= unit * push[:, None]
-                pos[:, j] += unit * push[:, None]
+        for k, (i, j) in enumerate(pairs):
+            delta = sub[:, j] - sub[:, i]
+            dist = np.sqrt((delta * delta).sum(axis=1))
+            overlap = pair_ok[:, k] & (dist < 2.0 * radius - tol)
+            if not overlap.any():
+                continue
+            degenerate = overlap & (dist < 1e-12)
+            safe = np.where(dist > 1e-12, dist, 1.0)
+            unit = delta / safe[:, None]
+            unit[degenerate] = (1.0, 0.0)
+            push = np.where(overlap, (2.0 * radius - dist) * 0.5, 0.0)
+            sub[:, i] -= unit * push[:, None]
+            sub[:, j] += unit * push[:, None]
 
         # a pair push above may have driven a robot into a wall, so every
         # wall is checked even if none was touched at the start of the pass
         for w in range(walls.shape[0]):
-            cw = _segment_closest_points(pos, walls[w : w + 1])[:, :, 0, :]
-            dw = pos - cw
+            cw = _segment_closest_points(sub, walls[w : w + 1])[:, :, 0, :]
+            dw = sub - cw
             distw = np.sqrt((dw * dw).sum(axis=-1))
-            hw = active & (distw < radius - tol)
+            hw = ok & (distw < radius - tol)
             if not hw.any():
                 continue
             seg = walls[w]
@@ -178,8 +181,11 @@ def resolve_collisions_arrays(
             safe = np.where(distw > 1e-12, distw, 1.0)
             unit = dw / safe[..., None]
             unit = np.where((distw > 1e-12)[..., None], unit, normal)
-            pos = np.where(hw[..., None], cw + unit * radius, pos)
-    return pos
+            sub = np.where(hw[..., None], cw + unit * radius, sub)
+        if out is pos:
+            out = pos.copy()
+        out[rows] = sub
+    return out
 
 
 def resolve_collisions(bodies: list[RobotBody], arena: Arena) -> list[RobotBody]:

@@ -410,13 +410,13 @@ def random_positions(
     max_tries: int = 200,
 ) -> np.ndarray:
     """Uniform non-overlapping points in a box, deterministic per rng state."""
-    placed: list[np.ndarray] = []
-    for _ in range(n):
+    placed = np.empty((n, 2))
+    for k in range(n):
         for _ in range(max_tries):
             p = rng.uniform(low, high)
-            if all(np.hypot(*(p - q)) >= min_separation for q in placed):
-                placed.append(p)
+            if (np.hypot(*(p - placed[:k]).T) >= min_separation).all():
                 break
         else:
-            placed.append(rng.uniform(low, high))  # crowded box: accept overlap
-    return np.array(placed)
+            p = rng.uniform(low, high)  # crowded box: accept overlap
+        placed[k] = p
+    return placed

@@ -14,7 +14,13 @@ from sdbc.config import (
     default_config_text,
     load_config,
 )
-from sdbc.runio import is_complete, load_genome_file, read_generations, read_meta
+from sdbc.runio import (
+    RunWriter,
+    is_complete,
+    load_genome_file,
+    read_generations,
+    read_meta,
+)
 from sdbc.tasks import make_task
 from sdbc.tasks.predator_prey import pursuit_fitness
 
@@ -206,6 +212,28 @@ class TestRun:
         assert f"{out / 'run_000'}: best fitness" in captured.out
         assert f"{out / 'run_001'}: failed: FileExistsError" in captured.err
         assert is_complete(out / "run_000")
+        assert not (out / "run_000/error.txt").exists()
+        assert (out / "run_001").read_text() == "a file where the run directory should go\n"
+
+    def test_failed_run_leaves_its_traceback_until_a_resume_succeeds(
+        self, tmp_path, monkeypatch
+    ):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "o"
+        args = ["run", "--config", str(cfg_path), "--out", str(out), "--resume"]
+
+        def dying_dump(self, generation, detail):
+            if generation == 1:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(RunWriter, "dump_population", dying_dump)
+        assert main(args) == 1
+        error = (out / "run_000/error.txt").read_text()
+        assert error.startswith("Traceback") and "OSError: disk full" in error
+        monkeypatch.undo()
+        assert main(args) == 0
+        assert is_complete(out / "run_000")
+        assert not (out / "run_000/error.txt").exists()
 
     def test_run_record_contents(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -23,6 +23,100 @@ AXLE = 0.08
 DT = 0.1
 
 
+def _closest_points_reference(pos, walls):
+    a = walls[:, 0:2]
+    d = walls[:, 2:4] - a
+    seg_sq = np.maximum((d * d).sum(axis=1), 1e-30)
+    rel = pos[..., None, :] - a
+    t = np.clip((rel * d).sum(axis=-1) / seg_sq, 0.0, 1.0)
+    return a + t[..., None] * d
+
+
+def resolve_collisions_reference(pos, radius, active, walls, max_passes=32, tol=1e-9):
+    """Frozen whole-batch collision resolution: every pass runs on every row
+    while any row overlaps.  The row-subset routine must match it bit for
+    bit."""
+    n = pos.shape[1]
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    pair_ok = active[:, None, :] & active[:, :, None]
+    copied = False
+    for _ in range(max_passes):
+        dx = pos[..., :, None, 0] - pos[..., None, :, 0]
+        dy = pos[..., :, None, 1] - pos[..., None, :, 1]
+        pair_d = np.sqrt(dx * dx + dy * dy)
+        np.einsum("bii->bi", pair_d)[:] = np.inf
+        pair_hit = pair_ok & (pair_d < 2.0 * radius - tol)
+
+        wall_hit = False
+        if walls.shape[0] > 0:
+            closest = _closest_points_reference(pos, walls)
+            delta = pos[:, :, None, :] - closest
+            wall_d = np.sqrt((delta * delta).sum(axis=-1))
+            wall_hit = (active[:, :, None] & (wall_d < radius - tol)).any()
+
+        if not pair_hit.any() and not wall_hit:
+            break
+        if not copied:
+            pos = pos.copy()
+            copied = True
+
+        if pair_hit.any():
+            for i, j in pairs:
+                delta = pos[:, j] - pos[:, i]
+                dist = np.sqrt((delta * delta).sum(axis=1))
+                overlap = pair_ok[:, i, j] & (dist < 2.0 * radius - tol)
+                if not overlap.any():
+                    continue
+                degenerate = overlap & (dist < 1e-12)
+                safe = np.where(dist > 1e-12, dist, 1.0)
+                unit = delta / safe[:, None]
+                unit[degenerate] = (1.0, 0.0)
+                push = np.where(overlap, (2.0 * radius - dist) * 0.5, 0.0)
+                pos[:, i] -= unit * push[:, None]
+                pos[:, j] += unit * push[:, None]
+
+        for w in range(walls.shape[0]):
+            cw = _closest_points_reference(pos, walls[w : w + 1])[:, :, 0, :]
+            dw = pos - cw
+            distw = np.sqrt((dw * dw).sum(axis=-1))
+            hw = active & (distw < radius - tol)
+            if not hw.any():
+                continue
+            seg = walls[w]
+            normal = np.array([-(seg[3] - seg[1]), seg[2] - seg[0]])
+            nrm = math.hypot(normal[0], normal[1])
+            normal = normal / (nrm if nrm > 0 else 1.0)
+            safe = np.where(distw > 1e-12, distw, 1.0)
+            unit = dw / safe[..., None]
+            unit = np.where((distw > 1e-12)[..., None], unit, normal)
+            pos = np.where(hw[..., None], cw + unit * radius, pos)
+    return pos
+
+
+def _crowded_batch(rng, rows, n):
+    """Rows spread from clean to tightly packed, some with robots on top of
+    each other or pressed into the walls of a 2 x 2 square, and ~15% of
+    robots inactive."""
+    scale = rng.choice([0.02, 0.1, 0.3, 1.9], size=(rows, 1, 1))
+    corner = rng.uniform(0.0, 2.0 - scale, size=(rows, 1, 2))
+    pos = corner + rng.uniform(0.0, 1.0, size=(rows, n, 2)) * scale
+    stacked = rng.random(rows) < 0.05
+    pos[stacked] = pos[stacked, :1]
+    return pos, rng.random((rows, n)) < 0.85
+
+
+def _overlapping_rows(pos, radius, active, walls, tol=1e-9):
+    d = np.hypot(*np.moveaxis(pos[:, :, None] - pos[:, None], -1, 0))
+    d[:, np.arange(pos.shape[1]), np.arange(pos.shape[1])] = np.inf
+    pair = active[:, :, None] & active[:, None] & (d < 2.0 * radius - tol)
+    wall = np.zeros(len(pos), dtype=bool)
+    if walls.shape[0] > 0:
+        delta = pos[:, :, None, :] - _closest_points_reference(pos, walls)
+        wall_d = np.sqrt((delta * delta).sum(axis=-1))
+        wall = (active[:, :, None] & (wall_d < radius - tol)).any(axis=(1, 2))
+    return pair.any(axis=(1, 2)) | wall
+
+
 class TestKinematics:
     def test_straight_line(self):
         body = RobotBody(x=0.0, y=0.0, heading=0.7, radius=0.05, left=1.0, right=1.0)
@@ -111,10 +205,33 @@ class TestCollisions:
         assert out[0, 1] == pytest.approx([1.02, 1.0])
 
     def test_no_overlap_returns_input_unchanged(self):
-        pos = np.array([[[0.5, 0.5], [1.5, 1.5]]])
-        active = np.ones((1, 2), dtype=bool)
-        out = resolve_collisions_arrays(pos, 0.05, active, np.empty((0, 4)))
-        assert np.array_equal(out, pos)
+        pos = np.array([[[0.5, 0.5], [1.5, 1.5]], [[0.5, 1.5], [1.5, 0.5]]])
+        active = np.ones((2, 2), dtype=bool)
+        for walls in (np.empty((0, 4)), square_arena(2.0).wall_array()):
+            assert resolve_collisions_arrays(pos, 0.05, active, walls) is pos
+
+    @pytest.mark.parametrize("with_walls", [False, True], ids=["no-walls", "walls"])
+    @pytest.mark.parametrize("max_passes", [1, 2, 4, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_matches_whole_batch_reference(self, n, max_passes, with_walls):
+        # the pass budget is per row: at 1 or 2 passes crowded rows are cut
+        # off unresolved, and must be cut off exactly where the reference,
+        # which runs every row on every pass, leaves them
+        walls = square_arena(2.0).wall_array() if with_walls else np.empty((0, 4))
+        rng = np.random.default_rng(1000 * n + 10 * max_passes + with_walls)
+        pos, active = _crowded_batch(rng, 300, n)
+        before = pos.copy()
+        out = resolve_collisions_arrays(pos, 0.05, active, walls, max_passes)
+        expected = resolve_collisions_reference(pos, 0.05, active, walls, max_passes)
+        assert np.array_equal(pos, before)
+        assert np.array_equal(out, expected)
+        overlapping = _overlapping_rows(pos, 0.05, active, walls)
+        if n == 1 and not with_walls:
+            assert out is pos
+        else:
+            assert overlapping.any() and not overlapping.all()
+        if n >= 3 and max_passes <= 2:
+            assert _overlapping_rows(out, 0.05, active, walls).any()
 
     @pytest.mark.parametrize(
         "walls, max_passes",

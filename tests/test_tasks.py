@@ -16,7 +16,7 @@ from sdbc.formalism import (
     extract_feature_series,
 )
 from sdbc.tasks import make_task
-from sdbc.tasks.base import pairwise_distances
+from sdbc.tasks.base import pairwise_distances, random_positions
 from sdbc.tasks.gate_escape import gate_fitness
 from sdbc.tasks.predator_prey import prey_policy, pursuit_fitness
 from sdbc.tasks.resource_sharing import (
@@ -102,6 +102,42 @@ class TestPreyPolicy:
     def test_coincident_mean_gives_zero(self):
         preds = np.array([[0.0, 0.0]])
         assert prey_policy(np.zeros(2), preds, 1.0) == pytest.approx(np.zeros(2))
+
+
+def random_positions_reference(rng, n, low, high, min_separation, max_tries=200):
+    """Frozen one-pair-at-a-time placement loop."""
+    placed = []
+    for _ in range(n):
+        for _ in range(max_tries):
+            p = rng.uniform(low, high)
+            if all(np.hypot(*(p - q)) >= min_separation for q in placed):
+                placed.append(p)
+                break
+        else:
+            placed.append(rng.uniform(low, high))
+    return np.array(placed)
+
+
+@pytest.mark.parametrize(
+    "n, high, min_separation, max_tries",
+    [(4, 1.9, 0.11, 200), (8, 0.5, 0.11, 200), (6, 0.25, 0.11, 5), (1, 1.0, 0.5, 200)],
+    ids=["paper", "tight", "crowded", "single"],
+)
+def test_random_positions_match_the_pairwise_loop(n, high, min_separation, max_tries):
+    # same points and same draws: the generator ends in the same state,
+    # including in a box too small for n points, where max_tries runs out
+    exhausted = 0
+    for seed in range(150):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_positions(rng, n, (0.1, 0.1), (high, high), min_separation, max_tries)
+        expected = random_positions_reference(
+            ref_rng, n, (0.1, 0.1), (high, high), min_separation, max_tries
+        )
+        assert np.array_equal(got, expected), seed
+        assert rng.random() == ref_rng.random(), seed
+        gaps = pairwise_distances(got[:, 0], got[:, 1])[np.triu_indices(n, 1)]
+        exhausted += bool((gaps < min_separation).any())
+    assert (exhausted > 0) == (max_tries == 5)
 
 
 class TestSchemas:
