@@ -5,6 +5,10 @@ The pipeline: per-step features are aggregated into a raw characterisation
 raw characterisations define z-score coefficients, feature weights are the
 mutual information between each component and fitness plus a floor, and
 behaviour distance is the Euclidean distance between transformed vectors.
+
+`aggregate` is the formal definition over a trial's feature samples.  The
+simulation loop keeps only each trial's running feature total and last
+row, and `aggregate_batch` lays those out the same way.
 """
 
 from __future__ import annotations
@@ -76,36 +80,17 @@ def aggregate(
 
 
 def aggregate_batch(
-    features: np.ndarray, steps: np.ndarray, max_steps: int
+    total: np.ndarray, final: np.ndarray, steps: np.ndarray, max_steps: int
 ) -> np.ndarray:
     """Vectorised `aggregate` over a batch of trials.
 
-    `features` has shape (T, B, F) with per-step samples, `steps` (B,) gives
-    each trial's elapsed step count; rows beyond a trial's own length are
-    ignored.  Returns (B, 2F+1).
+    `total` (B, F) is the sum of each trial's per-step features in step
+    order, `final` (B, F) its last feature row and `steps` (B,) its elapsed
+    step count.  Returns (B, 2F+1).
     """
-    t_axis = np.arange(features.shape[0])[:, None]
-    valid = t_axis < steps[None, :]
-    means = np.sum(features, axis=0, where=valid[:, :, None]) / steps[:, None]
-    finals = features[steps - 1, np.arange(features.shape[1])]
+    means = total / steps[:, None]
     duration = steps[:, None] / max_steps
-    return np.concatenate([means, finals, duration], axis=1)
-
-
-def aggregate_trials(
-    per_trial: Sequence[RawCharacterisation], per_trial_fitness: Sequence[float]
-) -> tuple[RawCharacterisation, float]:
-    """Element-wise mean characterisation and mean fitness over trials."""
-    if not per_trial:
-        raise ValueError("cannot aggregate zero trials")
-    if len(per_trial) != len(per_trial_fitness):
-        raise ValueError("trial characterisations and fitnesses differ in length")
-    schema = per_trial[0].schema
-    for c in per_trial[1:]:
-        if c.schema != schema:
-            raise ValueError("trial characterisations disagree on schema")
-    mean = np.mean([c.values for c in per_trial], axis=0)
-    return RawCharacterisation(values=mean, schema=schema), float(np.mean(per_trial_fitness))
+    return np.concatenate([means, final, duration], axis=1)
 
 
 def _as_matrix(population: Sequence[RawCharacterisation] | np.ndarray) -> np.ndarray:

@@ -150,7 +150,7 @@ class EvaluationResult:
     ts_characterisation: np.ndarray
     trial_fitness: np.ndarray
     trial_seeds: list[int]
-    trial_raw: np.ndarray | None = None  # (trials, 2F+1) when kept
+    trial_raw: np.ndarray | None = None  # (trials, 2F+1); not kept in checkpoints
 
 
 def evaluate(
@@ -158,13 +158,10 @@ def evaluate(
     task: Task,
     spec: ControllerSpec,
     seeds: Sequence[int],
-    keep_trials: bool = False,
 ) -> EvaluationResult:
     """Run one genome over seeded trials and average the results."""
-    results = evaluate_population(
-        np.asarray(genome, dtype=float)[None, :], task, spec, [list(seeds)], keep_trials
-    )
-    return results[0]
+    genomes = np.asarray(genome, dtype=float)[None, :]
+    return evaluate_population(genomes, task, spec, [list(seeds)])[0]
 
 
 def evaluate_population(
@@ -172,7 +169,6 @@ def evaluate_population(
     task: Task,
     spec: ControllerSpec,
     seeds_per_genome: Sequence[Sequence[int]],
-    keep_trials: bool = False,
 ) -> list[EvaluationResult]:
     """Evaluate many genomes in one flat trial batch.
 
@@ -194,23 +190,17 @@ def evaluate_population(
         controller, flat_seeds, record=False, networks=np.repeat(np.arange(k), trials)
     )
     schema = task.char_schema()
-    raw = ch.aggregate_batch(batch.features, batch.steps, task.max_steps)
     results = []
     for i in range(k):
         sl = slice(i * trials, (i + 1) * trials)
-        per_trial = [
-            ch.RawCharacterisation(values=raw[j], schema=schema)
-            for j in range(i * trials, (i + 1) * trials)
-        ]
-        mean_char, mean_fit = ch.aggregate_trials(per_trial, batch.fitness[sl])
         results.append(
             EvaluationResult(
-                fitness=mean_fit,
-                raw_characterisation=mean_char,
+                fitness=float(batch.fitness[sl].mean()),
+                raw_characterisation=ch.RawCharacterisation(batch.raw[sl].mean(axis=0), schema),
                 ts_characterisation=batch.ts_chars[sl].mean(axis=0),
                 trial_fitness=batch.fitness[sl],
                 trial_seeds=list(seeds_per_genome[i]),
-                trial_raw=raw[sl] if keep_trials else None,
+                trial_raw=batch.raw[sl],
             )
         )
     return results

@@ -4,15 +4,18 @@ loop all of them run, and the one behaviour-feature extractor.
 `Task.simulate` advances a batch of trials step by step: sense, act
 through the controller, mask the wheels of robots that no longer move,
 move, resolve collisions, apply the task's own rules, then write the
-step's behaviour features.  A task supplies only its initial state
-(`_reset`), its sensors, its step rules (`_step`), its group view
-(`_groups`) and its fitness and task-specific characterisation
-(`_finish`).  Per-trial working state lives in one namespace of arrays
-with the live trials on the leading axis, so the loop can compact it:
-when a trial ends, its final state is stored in full-size results and its
-row is dropped from every working array, and later steps simulate the
-live trials only.  Raw per-step state is kept only when
-`simulate(..., record=True)` asks for it.
+step's behaviour features and add them to the trial's running total.  A
+task supplies only its initial state (`_reset`), its sensors, its step
+rules (`_step`), its group view (`_groups`) and its fitness and
+task-specific characterisation (`_finish`).  Per-trial working state lives
+in one namespace of arrays with the live trials on the leading axis, so
+the loop can compact it: when a trial ends, its final state (feature total
+and last feature row included) is stored in full-size results and its row
+is dropped from every working array, and later steps simulate the live
+trials only.  Each trial's raw characterisation is aggregated from that
+total and last row as the loop ends, so no per-step array is needed.  The
+per-step features and raw state are kept only when
+`simulate(..., record=True)` asks for them.
 
 The group view is the task's formal description of one step: for each
 declared `GroupSpec`, which slots are members and their attribute
@@ -43,7 +46,7 @@ from ..formalism import (
     feature_schema,
     geometry_distance,
 )
-from ..characterisation import characterisation_schema
+from ..characterisation import aggregate_batch, characterisation_schema
 from ..simulation import normalize_angle, resolve_collisions_arrays, step_kinematics_arrays
 
 Controller = Callable[..., np.ndarray]
@@ -64,15 +67,18 @@ _NO_WALLS = np.empty((0, 4))
 class TrialBatch:
     """Outcome of simulating one controller over a batch of trials.
 
-    T is the longest trial's step count; in every (T, B, ...) array a
-    trial's rows past its own end repeat its final row.
+    `raw` is each trial's raw characterisation, aggregated inside the step
+    loop.  The per-step series exist only with record=True: T is then the
+    longest trial's step count, and in every (T, B, ...) array a trial's
+    rows past its own end repeat its final row.
     """
 
     steps: np.ndarray      # (B,) elapsed steps per trial
     fitness: np.ndarray    # (B,)
-    features: np.ndarray   # (T, B, F) features written each step, carry-forward applied
+    raw: np.ndarray        # (B, 2F+1) [feature means, final features, steps / max_steps]
     ts_chars: np.ndarray   # (B, 4) task-specific characterisation per trial
-    record: dict | None = None  # (T, B, ...) per-step state, only with record=True
+    features: np.ndarray | None = None  # (T, B, F) per-step features, carry-forward applied
+    record: dict | None = None  # (T, B, ...) per-step state
 
 
 class Task:
@@ -130,11 +136,11 @@ class Task:
         n = s.pos.shape[1]
         if networks is not None:
             s.network = np.repeat(np.asarray(networks), n).reshape(b, n)
+        s.feature_row = np.zeros((b, n_features))  # each live trial's last feature row
+        s.feature_total = np.zeros((b, n_features))  # and the sum of its rows so far
         live = np.arange(b)
         rows = live[:, None]
         steps = np.full(b, tau)
-        row = np.zeros((b, n_features))  # the last feature row of each live trial
-        features = np.empty((tau, b, n_features))
         final: dict[str, np.ndarray] = {}
         frames: list[tuple[np.ndarray, dict]] = []
 
@@ -159,30 +165,32 @@ class Task:
             s.turn = p.v_max * (right - left) / p.axle
             s.lin = p.v_max * (left + right) / 2.0
             ending = self._step(s, t, move)
-            write_features(row, self._groups(s), specs, excluded)
-            features[t, live] = row
+            write_features(s.feature_row, self._groups(s), specs, excluded)
+            s.feature_total += s.feature_row
             if record:
-                frames.append((live, {key: getattr(s, key) for key in self.record_keys}))
+                frame = {key: getattr(s, key) for key in self.record_keys}
+                frames.append((live, frame | {"features": s.feature_row.copy()}))
             if ending.any():
                 steps[live[ending]] = t + 1
                 store(live[ending], ending)
                 keep = ~ending
-                live, row, rows = live[keep], row[keep], rows[: keep.sum()]
+                live, rows = live[keep], rows[: keep.sum()]
                 s = SimpleNamespace(**{k: v[keep] for k, v in vars(s).items()})
                 if not live.size:
                     break
         store(live, slice(None))
 
-        features = features[: steps.max(initial=0)]
-        hold_final_rows(features, steps)
         fitness, ts = self._finish(SimpleNamespace(**final), steps)
-        return TrialBatch(
+        batch = TrialBatch(
             steps=steps,
             fitness=fitness,
-            features=features,
+            raw=aggregate_batch(final["feature_total"], final["feature_row"], steps, tau),
             ts_chars=np.clip(ts, 0.0, 1.0),
-            record=assemble_record(frames, steps, len(features)) if record else None,
         )
+        if record:
+            batch.record = assemble_record(frames, steps, steps.max(initial=0))
+            batch.features = batch.record.pop("features")
+        return batch
 
     def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
         """Initial (B, ...) working state; must hold `pos` and `heading`."""

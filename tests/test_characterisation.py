@@ -12,8 +12,6 @@ from sdbc.characterisation import (
     FeatureWeights,
     RawCharacterisation,
     aggregate,
-    aggregate_batch,
-    aggregate_trials,
     apply_standardisation,
     apply_weights,
     behaviour_distance,
@@ -24,6 +22,7 @@ from sdbc.characterisation import (
     mi_bin_count,
 )
 from sdbc.formalism import FeatureSnapshot
+from sdbc.tasks import make_task
 
 SCHEMA3 = ("f0", "f1", "f2")
 
@@ -71,47 +70,19 @@ class TestAggregate:
             aggregate([snap(1, 2, 3)], steps_elapsed=0, max_steps=10)
 
     def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        t, b, f = 20, 4, 3
-        features = rng.normal(size=(t, b, f))
-        steps = np.array([20, 7, 1, 13])
-        batch = aggregate_batch(features, steps, max_steps=25)
-        for i in range(b):
-            samples = [
-                FeatureSnapshot(values=tuple(features[s, i]), schema=SCHEMA3)
-                for s in range(steps[i])
-            ]
-            expected = aggregate(samples, int(steps[i]), 25)
-            assert batch[i] == pytest.approx(expected.values, abs=1e-12)
-
-
-class TestAggregateTrials:
-    def test_identical_trials_unchanged(self):
-        c = raw([1, 2, 3, 4, 5, 6, 0.5])
-        out, fit = aggregate_trials([c, c, c], [0.5, 0.5, 0.5])
-        assert out.values == pytest.approx(c.values, abs=1e-12)
-        assert fit == 0.5
-
-    def test_opposite_trials_cancel(self):
-        v = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 0.5])
-        out, _ = aggregate_trials([raw(v), raw(-v)], [0.0, 1.0])
-        assert out.values == pytest.approx(np.zeros(7), abs=1e-12)
-
-    def test_matches_brute_force_mean(self):
-        rng = np.random.default_rng(9)
-        values = rng.normal(size=(10, 7))
-        fits = rng.uniform(size=10)
-        out, fit = aggregate_trials([raw(v) for v in values], fits)
-        for k in range(7):
-            total = 0.0
-            for i in range(10):
-                total += values[i, k]
-            assert out.values[k] == pytest.approx(total / 10, abs=1e-12)
-        assert fit == pytest.approx(sum(fits) / 10, abs=1e-12)
-
-    def test_schema_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_trials([raw([1] * 7), raw([1] * 9, n_features=4)], [0, 0])
+        # the raw rows aggregated inside the simulation loop against the
+        # formal definition over the recorded per-step features
+        for name in ("resource_sharing", "gate_escape", "predator_prey"):
+            task = make_task(name, {"max_steps": 60})
+            batch = task.simulate(lambda x: np.tanh(x[:, :2] - x[:, 2:4]), [1, 2, 3, 4])
+            schema = task.feature_names()
+            for i, steps in enumerate(batch.steps):
+                samples = [
+                    FeatureSnapshot(values=tuple(batch.features[s, i]), schema=schema)
+                    for s in range(steps)
+                ]
+                expected = aggregate(samples, int(steps), task.max_steps)
+                assert batch.raw[i] == pytest.approx(expected.values, abs=1e-12), (name, i)
 
 
 class TestStandardisation:

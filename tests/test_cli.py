@@ -1,12 +1,17 @@
 """Configuration validation, run determinism, replay round trips, analyze."""
 
 import csv
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import sdbc
 from sdbc.cli import execute_run, main
 from sdbc.config import (
     ConfigError,
@@ -195,6 +200,49 @@ class TestRun:
         assert main([
             "run", "--config", str(cfg_path), "--out", str(tmp_path / "crashed"), "--resume"
         ]) == 0
+        a = (tmp_path / "full/run_000/generations.csv").read_bytes()
+        b = (run / "generations.csv").read_bytes()
+        assert a == b
+
+    def test_kill_during_checkpoint_write_keeps_the_previous_one(self, tmp_path):
+        # a process killed outright runs no cleanup, so the half-written
+        # temporary file stays behind next to the previous checkpoint
+        cfg_path = write_config(tmp_path, {"ga.generations": 5}, checkpoint_every=2)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "full")]) == 0
+
+        run = tmp_path / "killed/run_000"
+        script = """
+import os, signal, sys
+import numpy as np
+from sdbc.cli import execute_run
+from sdbc.config import load_config
+
+real_savez, calls = np.savez, []
+
+def savez_killed_midway(fh, **arrays):
+    calls.append(arrays["generation"])
+    if len(calls) == 1:
+        return real_savez(fh, **arrays)
+    fh.write(b"PK\\x03\\x04 half a checkpoint")
+    fh.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+np.savez = savez_killed_midway
+execute_run(load_config(sys.argv[1]), sys.argv[2])
+"""
+        src = str(Path(sdbc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cfg_path), str(run)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        assert int(np.load(run / "checkpoint.npz")["generation"]) == 2
+        assert (run / "checkpoint.npz.tmp").read_bytes().startswith(b"PK\x03\x04 half")
+        assert main([
+            "run", "--config", str(cfg_path), "--out", str(tmp_path / "killed"), "--resume"
+        ]) == 0
+        assert not list(run.glob("*.tmp"))
         a = (tmp_path / "full/run_000/generations.csv").read_bytes()
         b = (run / "generations.csv").read_bytes()
         assert a == b

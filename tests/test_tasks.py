@@ -377,7 +377,7 @@ TRAJECTORY_PINS = [
 def test_trajectories_match_their_pins(name, overrides, genome_seed, digest):
     task = make_task(name, overrides)
     ctrl = chase_prey if genome_seed is None else random_controller(task, genome_seed)
-    batch = task.simulate(ctrl, list(range(8)), record=False)
+    batch = task.simulate(ctrl, list(range(8)), record=True)
     assert len(set(batch.steps.tolist())) >= 3
     h = hashlib.sha256()
     for a in (batch.steps, batch.fitness, batch.ts_chars, batch.features):
@@ -475,12 +475,12 @@ def test_recording_does_not_change_results(name, overrides, oracle):
     seeds = [3, 4, 5, 6, 7]
     plain = task.simulate(ctrl, seeds, record=False)
     recorded = task.simulate(ctrl, seeds, record=True)
-    assert plain.record is None
-    for field in ("steps", "fitness", "features", "ts_chars"):
+    assert plain.record is None and plain.features is None
+    for field in ("steps", "fitness", "raw", "ts_chars"):
         assert np.array_equal(getattr(plain, field), getattr(recorded, field)), field
     rec = recorded.record
     assert {"heading", "wheels"} <= rec.keys()
-    assert rec["pos"].shape[:2] == rec["wheels"].shape[:2] == plain.features.shape[:2]
+    assert rec["pos"].shape[:2] == rec["wheels"].shape[:2] == recorded.features.shape[:2]
     expected = np.clip(oracle(task, rec), 0.0, 1.0)
     assert recorded.ts_chars == pytest.approx(expected, abs=1e-12)
 
@@ -512,6 +512,7 @@ def assert_trials_match_solo_runs(task, batch, solo):
         assert alone.steps[0] == steps, b
         assert alone.fitness[0] == batch.fitness[b], b
         assert np.array_equal(alone.ts_chars[0], batch.ts_chars[b]), b
+        assert np.array_equal(alone.raw[0], batch.raw[b]), b
         series = [(batch.features, alone.features)]
         series += [(batch.record[k], alone.record[k]) for k in task.record_keys]
         for together, single in series:
@@ -534,6 +535,32 @@ def test_finished_trials_leave_the_batch_without_changing_results(
         task, batch,
         lambda b: task.simulate(build_controller(genomes[networks[b]], spec), [b]),
     )
+
+
+def reference_aggregate_batch(features, steps, max_steps):
+    """The raw characterisation as it was computed from the whole (T, B, F)
+    feature array before the simulation loop aggregated it itself; frozen
+    here as the reference the in-loop totals must match bit for bit."""
+    t_axis = np.arange(features.shape[0])[:, None]
+    valid = t_axis < steps[None, :]
+    means = np.sum(features, axis=0, where=valid[:, :, None]) / steps[:, None]
+    finals = features[steps - 1, np.arange(features.shape[1])]
+    duration = steps[:, None] / max_steps
+    return np.concatenate([means, finals, duration], axis=1)
+
+
+@pytest.mark.parametrize(
+    "name,overrides,genome_seed",
+    [pin[:3] for pin in TRAJECTORY_PINS] + STAGGERED_ENDS,
+)
+def test_raw_matches_the_whole_array_reference(name, overrides, genome_seed):
+    task = make_task(name, overrides)
+    ctrl = chase_prey if genome_seed is None else random_controller(task, genome_seed)
+    batch = task.simulate(ctrl, list(range(8)))
+    assert len(set(batch.steps.tolist())) >= 3
+    for trial in (batch, task.simulate(ctrl, [5])):
+        expected = reference_aggregate_batch(trial.features, trial.steps, task.max_steps)
+        assert np.array_equal(trial.raw, expected)
 
 
 def test_plain_callable_drives_the_compacted_loop():
