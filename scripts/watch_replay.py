@@ -10,14 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sdbc.config import load_config  # noqa: E402
-from sdbc.evolution import ControllerSpec, build_controller  # noqa: E402
-from sdbc.runio import load_genome_file  # noqa: E402
-from sdbc.tasks import make_task  # noqa: E402
+from sdbc.cli import replay_genome  # noqa: E402
 
 
 def frame(bounds, positions, extra, cols=48, rows=20) -> str:
@@ -37,23 +32,15 @@ def frame(bounds, positions, extra, cols=48, rows=20) -> str:
     return "\n".join("".join(row) for row in grid)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("genome")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--every", type=int, default=25, help="steps between frames")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    header, weights = load_genome_file(args.genome)
-    # the run directory's config holds the task overrides the genome evolved under
-    run_config = Path(args.genome).parent / "config.yaml"
-    task_params = load_config(run_config).task_params if run_config.exists() else {}
-    task = make_task(header["task"], task_params)
-    spec = ControllerSpec(int(header["inputs"]), int(header["hidden"]), int(header["outputs"]))
-    seed = args.seed
-    if seed is None:
-        seed = int(header.get("trial_seeds", "0").split(",")[0])
-    batch = task.simulate(build_controller(weights, spec), [seed], record=True)
+    # task overrides come from the run directory's config.yaml, as in `sdbc replay`
+    header, task, _, batch = replay_genome(args.genome, seed=args.seed)
     rec = batch.record
     steps = int(batch.steps[0])
 

@@ -1,10 +1,15 @@
 """Command-line entry points: run experiments, replay genomes, analyse runs.
 
 Flags override SDBC_* environment variables, which override the config
-file.  Batch runs use seeds master+i so every run is independently
-reproducible; `--parallel` distributes whole runs over worker processes,
-which cannot change any run's results.  A run that fails is reported and
-the others carry on; `run` then exits with status 1.
+file.  A batch runs `--runs` runs of each method that `--method` lists
+(default: the config's `method`).  Run i of the j-th method uses seed
+master + 1000*j + i, so every run is independently reproducible and a
+one-method batch uses master + i.  One method writes OUT/run_i; several
+write OUT/<method>/run_i, with "+" spelled "plus".  `--parallel`
+distributes whole runs over worker processes, which cannot change any
+run's results.  A run that fails is reported and the others carry on;
+`run` then exits with status 1.  `--resume` continues unfinished runs
+and leaves complete ones as they are.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import json
 import multiprocessing as mp
 import os
 import sys
@@ -31,20 +37,28 @@ from .config import (
     load_config,
 )
 from .evolution import (
+    METHODS,
     ControllerSpec,
     EvolutionState,
     build_controller,
     init_population,
     run_generation,
 )
-from .tasks import make_task
+from .tasks import Task, TrialBatch, make_task
 
 ENV_PREFIX = "SDBC_"
+METHOD_SEED_STRIDE = 1000  # seeds set aside for each method of a batch
 
 
-def _env_default(name: str, cast=str):
+def _env_default(name: str, cast=str, default=None):
     value = os.environ.get(ENV_PREFIX + name.upper())
-    return None if value is None else cast(value)
+    return default if value is None else cast(value)
+
+
+def _fail(message: str) -> int:
+    """Report bad input on stderr; the command exits with status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def build_state(cfg: ExperimentConfig) -> EvolutionState:
@@ -119,10 +133,14 @@ def _run_worker(payload: tuple[dict, str, bool]) -> dict:
     """One run; a failure is returned as the run's outcome, so that it
     does not hide the outcomes of the other runs.  Its traceback is also
     left in the run directory as `error.txt`, which a later successful
-    run of that directory removes."""
+    run of that directory removes.  Resuming a complete run reports its
+    `done.json` and runs nothing."""
     cfg_dict, run_dir, resume = payload
     error_file = Path(run_dir) / "error.txt"
     try:
+        if resume and runio.is_complete(run_dir):
+            done = json.loads((Path(run_dir) / "done.json").read_text())
+            return {"run_dir": run_dir, "best_fitness": done["best_fitness"]}
         result = execute_run(config_from_dict(cfg_dict), run_dir, resume)
         error_file.unlink(missing_ok=True)
         return result
@@ -137,24 +155,36 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"invalid configuration: {exc}")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
-    runs = args.runs
+    methods = args.method or [cfg.method]
+    if args.runs < 1:
+        return _fail(f"--runs must be >= 1, got {args.runs}")
+    if len(set(methods)) < len(methods):
+        return _fail(f"--method lists a method twice: {' '.join(methods)}")
+    if len(methods) > 1 and args.runs > METHOD_SEED_STRIDE:
+        return _fail(
+            f"--runs {args.runs} would give two methods the same seeds "
+            f"(at most {METHOD_SEED_STRIDE} runs per method)"
+        )
     out_root = Path(cfg.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
+    # seeds and layout as in the module docstring
     jobs = []
-    for i in range(runs):
-        run_cfg_dict = cfg.to_dict()
-        run_cfg_dict["seed"] = cfg.seed + i
-        jobs.append((run_cfg_dict, str(out_root / f"run_{i:03d}"), args.resume))
+    for j, method in enumerate(methods):
+        method_root = out_root / method.replace("+", "plus") if len(methods) > 1 else out_root
+        for i in range(args.runs):
+            run_cfg_dict = cfg.to_dict()
+            run_cfg_dict["method"] = method
+            run_cfg_dict["seed"] = cfg.seed + METHOD_SEED_STRIDE * j + i
+            jobs.append((run_cfg_dict, str(method_root / f"run_{i:03d}"), args.resume))
 
-    if args.parallel > 1 and runs > 1:
-        with mp.get_context("spawn").Pool(min(args.parallel, runs)) as pool:
+    if args.parallel > 1 and len(jobs) > 1:
+        with mp.get_context("spawn").Pool(min(args.parallel, len(jobs))) as pool:
             results = pool.map(_run_worker, jobs)
     else:
         results = [_run_worker(job) for job in jobs]
@@ -168,38 +198,45 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        header, weights = runio.load_genome_file(args.genome)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    task_params: dict = {}
-    if args.config:
-        task_params = load_config(args.config).task_params
-    else:
-        sibling = Path(args.genome).parent / "config.yaml"
-        if sibling.exists():
-            task_params = load_config(sibling).task_params
-    task = make_task(header["task"], task_params)
+def replay_genome(
+    genome: str | Path, config: str | Path | None = None, seed: int | None = None
+) -> tuple[dict[str, str], Task, int, TrialBatch]:
+    """Re-simulate a saved genome on one trial seed with every step recorded;
+    returns the genome file's header, the task, the seed and the batch.
+
+    Task overrides come from `config`, else from the `config.yaml` beside
+    the genome; the seed defaults to the first logged trial seed.  Bad
+    input raises OSError or ValueError (ConfigError for a configuration).
+    """
+    header, weights = runio.load_genome_file(genome)
+    if not config:
+        sibling = Path(genome).parent / "config.yaml"
+        config = sibling if sibling.exists() else None
+    task = make_task(header["task"], load_config(config).task_params if config else {})
     spec = ControllerSpec(
         inputs=int(header["inputs"]),
         hidden=int(header["hidden"]),
         outputs=int(header["outputs"]),
     )
     if len(weights) != spec.genome_length:
-        print(
-            f"error: genome length {len(weights)} does not match controller "
-            f"spec ({spec.genome_length})",
-            file=sys.stderr,
+        raise ValueError(
+            f"genome length {len(weights)} does not match controller "
+            f"spec ({spec.genome_length})"
         )
-        return 2
-    seed = args.seed
     if seed is None:
         seeds = header.get("trial_seeds", "")
         seed = int(seeds.split(",")[0]) if seeds else 0
-    controller = build_controller(weights, spec)
-    batch = task.simulate(controller, [seed], record=True)
+    batch = task.simulate(build_controller(weights, spec), [seed], record=True)
+    return header, task, seed, batch
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    try:
+        _, _, seed, batch = replay_genome(args.genome, args.config, args.seed)
+    except ConfigError as exc:
+        return _fail(f"invalid configuration: {exc}")
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
     rec = batch.record
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -256,8 +293,7 @@ def _collect_runs(run_dirs: list[str]) -> dict[str, list[Path]]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     by_method = _collect_runs(args.run_dirs)
     if not by_method:
-        print("error: no complete runs to analyse", file=sys.stderr)
-        return 2
+        return _fail("no complete runs to analyse")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -391,8 +427,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute one or more evolutionary runs")
     p_run.add_argument("--config", required=True, help="experiment config YAML")
-    p_run.add_argument("--runs", type=int, default=_env_default("runs", int) or 1)
-    p_run.add_argument("--parallel", type=int, default=_env_default("parallel", int) or 1)
+    p_run.add_argument("--runs", type=int, default=_env_default("runs", int, 1))
+    p_run.add_argument("--parallel", type=int, default=_env_default("parallel", int, 1))
+    p_run.add_argument(
+        "--method", nargs="+", choices=METHODS, help="methods to run (default: the config's)"
+    )
     p_run.add_argument("--seed", type=int, default=_env_default("seed", int))
     p_run.add_argument("--out", default=_env_default("out"))
     p_run.add_argument("--resume", action="store_true", help="resume from checkpoints")

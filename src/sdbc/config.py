@@ -181,7 +181,7 @@ def default_config_text() -> str:
 
 task: resource_sharing        # one of: {", ".join(task_names())}
 method: ns-sd+                # fit | ns-ts | ns-sd | ns-sd+
-seed: 1                       # master seed; run i of a batch uses seed + i
+seed: 1                       # master seed; run i of the j-th --method uses seed + 1000*j + i
 out: runs                     # output directory for run records
 dump_population: false        # per-generation CSVs of characterisations
 checkpoint_every: 10          # generations between resumable checkpoints

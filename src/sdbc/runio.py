@@ -402,4 +402,7 @@ def load_genome_file(path: str | Path) -> tuple[dict[str, str], np.ndarray]:
                     raise ValueError(f"corrupted genome file: bad weight line {line!r}") from exc
     if not weights:
         raise ValueError("corrupted genome file: no weights found")
+    for key in ("task", "inputs", "hidden", "outputs"):
+        if key not in header:
+            raise ValueError(f"corrupted genome file: missing header field {key!r}")
     return header, np.array(weights)

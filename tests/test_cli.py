@@ -1,6 +1,7 @@
 """Configuration validation, run determinism, replay round trips, analyze."""
 
 import csv
+import importlib.util
 import os
 import signal
 import subprocess
@@ -12,13 +13,14 @@ import pytest
 import yaml
 
 import sdbc
-from sdbc.cli import execute_run, main
+from sdbc.cli import execute_run, main, replay_genome
 from sdbc.config import (
     ConfigError,
     config_from_dict,
     default_config_text,
     load_config,
 )
+from sdbc.evolution import ControllerSpec
 from sdbc.runio import (
     RunWriter,
     is_complete,
@@ -28,6 +30,9 @@ from sdbc.runio import (
 )
 from sdbc.tasks import make_task
 from sdbc.tasks.predator_prey import pursuit_fitness
+from test_acceptance import SHARING_CONFIG, desk_jobs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
     "task": "resource_sharing",
@@ -302,6 +307,150 @@ execute_run(load_config(sys.argv[1]), sys.argv[2])
         )
 
 
+@pytest.fixture(scope="module")
+def method_batch(tmp_path_factory):
+    """Two runs each of two methods, through one `sdbc run`."""
+    tmp = tmp_path_factory.mktemp("method_batch")
+    cfg_path = write_config(tmp)
+    out = tmp / "o"
+    assert main([
+        "run", "--config", str(cfg_path), "--method", "fit", "ns-sd+", "--runs", "2",
+        "--out", str(out),
+    ]) == 0
+    return cfg_path, out
+
+
+def record_jobs(monkeypatch):
+    """Make `run` collect its jobs instead of running them."""
+    jobs = []
+
+    def fake_worker(job):
+        jobs.append(job)
+        return {"run_dir": job[1], "best_fitness": 0.0}
+
+    monkeypatch.setattr("sdbc.cli._run_worker", fake_worker)
+    return jobs
+
+
+class TestMethodBatch:
+    def test_jobs_match_the_acceptance_comparison(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cmp.yaml"
+        cfg_path.write_text(yaml.safe_dump(SHARING_CONFIG))
+        jobs = record_jobs(monkeypatch)
+        out = tmp_path / "cmp"
+        assert main([
+            "run", "--config", str(cfg_path), "--method", "fit", "ns-ts", "ns-sd", "ns-sd+",
+            "--seed", "1000", "--runs", "8", "--out", str(out),
+        ]) == 0
+
+        def resolved(cfg_dict, run_dir, root):
+            cfg = config_from_dict(cfg_dict).to_dict()
+            del cfg["out"]
+            return cfg, Path(run_dir).relative_to(root)
+
+        sharing = tmp_path / "cache" / "sharing"
+        expected = [
+            resolved(cfg, run_dir, sharing)
+            for cfg, run_dir in desk_jobs(sharing.parent)
+            if Path(run_dir).is_relative_to(sharing)
+        ]
+        assert len(expected) == 32
+        assert [resolved(cfg, run_dir, out) for cfg, run_dir, _ in jobs] == expected
+
+    def test_largest_batch_keeps_method_seeds_apart(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        jobs = record_jobs(monkeypatch)
+        assert main([
+            "run", "--config", str(cfg_path), "--method", "fit", "ns-ts", "--runs", "1000",
+            "--out", str(tmp_path / "o"),
+        ]) == 0
+        seeds = [cfg["seed"] for cfg, _, _ in jobs]
+        assert seeds == list(range(9, 2009))
+
+    def test_layout_and_seeds(self, method_batch):
+        _, out = method_batch
+        assert sorted(p.name for p in out.iterdir()) == ["fit", "ns-sdplus"]
+        for j, (method, sub) in enumerate([("fit", "fit"), ("ns-sd+", "ns-sdplus")]):
+            for i in range(2):
+                run = out / sub / f"run_{i:03d}"
+                assert is_complete(run)
+                meta = read_meta(run)
+                assert (meta["method"], meta["seed"]) == (method, 9 + 1000 * j + i)
+
+    def test_failing_run_is_reported_and_resume_finishes_the_batch(
+        self, method_batch, tmp_path, capsys
+    ):
+        cfg_path, clean = method_batch
+        out = tmp_path / "o"
+        blocked = out / "fit" / "run_001"
+        blocked.parent.mkdir(parents=True)
+        blocked.write_text("a file where the run directory should go\n")
+        args = [
+            "run", "--config", str(cfg_path), "--method", "fit", "ns-sd+", "--runs", "2",
+            "--parallel", "2", "--out", str(out),
+        ]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert f"{blocked}: failed: FileExistsError" in captured.err
+        finished = [out / "fit/run_000", out / "ns-sdplus/run_000", out / "ns-sdplus/run_001"]
+        for run in finished:
+            assert f"{run}: best fitness" in captured.out
+            assert is_complete(run)
+        stamps = [(run / "generations.csv").stat().st_mtime_ns for run in finished]
+
+        blocked.unlink()
+        assert main([*args, "--resume"]) == 0
+        captured = capsys.readouterr()
+        for run in [*finished, blocked]:
+            assert f"{run}: best fitness" in captured.out
+        # complete runs are left alone; the batch matches one never interrupted
+        assert [(run / "generations.csv").stat().st_mtime_ns for run in finished] == stamps
+        for run in clean.glob("*/run_*"):
+            a = (run / "generations.csv").read_bytes()
+            b = (out / run.relative_to(clean) / "generations.csv").read_bytes()
+            assert a == b, run
+
+    def test_analyze_compares_every_method_pair(self, method_batch, tmp_path):
+        _, out = method_batch
+        runs = sorted(str(p) for p in out.glob("*/run_*"))
+        assert len(runs) == 4
+        assert main([
+            "analyze", *runs, "--out", str(tmp_path / "analysis"), "--som-epochs", "1",
+            "--som-width", "2", "--som-height", "2",
+        ]) == 0
+        with open(tmp_path / "analysis" / "mann_whitney.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method_a"], r["method_b"]) for r in rows] == [("fit", "ns-sd+")]
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--runs", "0"], "--runs must be >= 1"),
+            (["--runs", "-3"], "--runs must be >= 1"),
+            (["--method", "fit", "ns-sd", "fit"], "--method lists a method twice"),
+            (["--method", "fit", "ns-sd", "--runs", "1001"], "--runs 1001 would give two methods"),
+        ],
+    )
+    def test_bad_batch_is_rejected_before_running(self, tmp_path, capsys, extra, message):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_zero_runs_from_the_environment_is_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path)
+        monkeypatch.setenv("SDBC_RUNS", "0")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: --runs must be >= 1, got 0")
+
+    def test_unknown_method_is_a_usage_error(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--method", "fit", "hill-climb"])
+        assert exc.value.code == 2
+
+
 class TestReplay:
     def test_round_trip_reproduces_logged_trial_fitness(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -390,6 +539,52 @@ class TestReplay:
         bad = tmp_path / "bad_genome.txt"
         bad.write_text("# task: gate_escape\n0.1\nnot-a-number\n")
         assert main(["replay", str(bad)]) == 2
+
+    @pytest.mark.parametrize("field", ["task", "inputs", "hidden", "outputs"])
+    def test_genome_without_a_header_field_fails(self, tmp_path, capsys, field):
+        header = {"task": "gate_escape", "inputs": "8", "hidden": "4", "outputs": "2"}
+        del header[field]
+        bad = tmp_path / "best_genome.txt"
+        bad.write_text("".join(f"# {k}: {v}\n" for k, v in header.items()) + "0.1\n")
+        message = f"corrupted genome file: missing header field {field!r}"
+        with pytest.raises(ValueError, match=message):
+            load_genome_file(bad)
+        assert main(["replay", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("where", ["--config", "sibling"])
+    def test_invalid_config_fails_with_diagnostic(self, tmp_path, capsys, where):
+        genome = tmp_path / "best_genome.txt"
+        genome.write_text(
+            "# task: predator_prey\n# inputs: 6\n# hidden: 4\n# outputs: 2\n"
+            + "0.0\n" * ControllerSpec(6, 4, 2).genome_length
+        )
+        bad = tmp_path / ("bad.yaml" if where == "--config" else "config.yaml")
+        bad.write_text("method: warp\n")
+        args = ["replay", str(genome)] + (["--config", str(bad)] if where == "--config" else [])
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: invalid configuration: method")
+
+    def test_watch_replay_script_films_a_saved_genome(self, method_batch, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "watch_replay", ROOT / "scripts" / "watch_replay.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        _, out = method_batch
+        genome = out / "fit" / "run_000" / "best_genome.txt"
+        capsys.readouterr()
+        assert script.main([str(genome), "--every", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the sibling config's three robots, on the first logged trial seed
+        header, _, seed, batch = replay_genome(genome)
+        assert seed == int(header["trial_seeds"].split(",")[0])
+        steps = int(batch.steps[0])
+        frames = [line for line in lines if line.startswith("--- step ")]
+        assert frames == [f"--- step {t} ---" for t in range(0, steps, 20)]
+        assert {ch for line in lines for ch in line if ch.isdigit()} >= {"0", "1", "2"}
+        logged = float(header["trial_fitness"].split(",")[0])
+        assert lines[-1] == f"fitness {logged:.4f}, steps {steps}"
 
 
 @pytest.fixture(scope="module")
