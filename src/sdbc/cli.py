@@ -50,9 +50,11 @@ ENV_PREFIX = "SDBC_"
 METHOD_SEED_STRIDE = 1000  # seeds set aside for each method of a batch
 
 
-def _env_default(name: str, cast=str, default=None):
-    value = os.environ.get(ENV_PREFIX + name.upper())
-    return default if value is None else cast(value)
+def _env_default(name: str, default=None):
+    """The SDBC_<NAME> variable as its raw string, else `default`;
+    argparse converts a string default with the option's `type`, so a
+    malformed value is a usage error of the subcommand that reads it."""
+    return os.environ.get(ENV_PREFIX + name.upper(), default)
 
 
 def _fail(message: str) -> int:
@@ -427,12 +429,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute one or more evolutionary runs")
     p_run.add_argument("--config", required=True, help="experiment config YAML")
-    p_run.add_argument("--runs", type=int, default=_env_default("runs", int, 1))
-    p_run.add_argument("--parallel", type=int, default=_env_default("parallel", int, 1))
+    p_run.add_argument("--runs", type=int, default=_env_default("runs", 1))
+    p_run.add_argument("--parallel", type=int, default=_env_default("parallel", 1))
     p_run.add_argument(
         "--method", nargs="+", choices=METHODS, help="methods to run (default: the config's)"
     )
-    p_run.add_argument("--seed", type=int, default=_env_default("seed", int))
+    p_run.add_argument("--seed", type=int, default=_env_default("seed"))
     p_run.add_argument("--out", default=_env_default("out"))
     p_run.add_argument("--resume", action="store_true", help="resume from checkpoints")
     p_run.set_defaults(func=cmd_run)

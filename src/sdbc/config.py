@@ -156,8 +156,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    """Read and validate a YAML config; an unreadable file or bad YAML
+    raises ConfigError too."""
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(str(exc)) from exc
     return config_from_dict(data or {})
 
 

@@ -3,10 +3,15 @@ loop all of them run, and the one behaviour-feature extractor.
 
 `Task.simulate` advances a batch of trials step by step: sense, act
 through the controller, mask the wheels of robots that no longer move,
-move, resolve collisions, apply the task's own rules, then write the
-step's behaviour features and add them to the trial's running total.  A
-task supplies only its initial state (`_reset`), its sensors, its step
-rules (`_step`), its group view (`_groups`) and its fitness and
+move, resolve collisions, apply the task's position constraint, measure
+the robot-robot distances, apply the task's own rules, then write the
+step's behaviour features and add them to the trial's running total.
+The distance matrix `dist` is measured once per step, after every
+position change of that step, and once after the reset; the step's rules
+and features read it, and so do the next step's sensors, which see the
+positions the previous step left.  A task supplies only its initial
+state (`_reset`), its position constraint (`_constrain`), its sensors,
+its step rules (`_step`), its group view (`_groups`) and its fitness and
 task-specific characterisation (`_finish`).  Per-trial working state lives
 in one namespace of arrays with the live trials on the leading axis, so
 the loop can compact it: when a trial ends, its final state (feature total
@@ -51,14 +56,18 @@ from ..simulation import normalize_angle, resolve_collisions_arrays, step_kinema
 
 Controller = Callable[..., np.ndarray]
 
-# One group of a step's group view: (member, attrs, props).  `member` is a
-# (B, N) bool mask, or None when every slot is a member.  `attrs` holds the
-# group's kappa attribute columns, each (B, N).  `props` is None for a body
-# group, whose position is attrs[0], attrs[1] (the formalism's GEOM_BODY
-# rule); for a static entity it is its GEOM_POINT, GEOM_SEGMENTS or
-# GEOM_CIRCLE props tuple, and the entity is the group's one slot (N = 1),
-# always a member (member None).
-GroupView = tuple[np.ndarray | None, Sequence[np.ndarray], tuple[float, ...] | None]
+# One group of a step's group view: (member, attrs, props, dist).  `member`
+# is a (B, N) bool mask, or None when every slot is a member.  `attrs`
+# holds the group's kappa attribute columns, each (B, N).  `props` is None
+# for a body group, whose position is attrs[0], attrs[1] (the formalism's
+# GEOM_BODY rule); for a static entity it is its GEOM_POINT, GEOM_SEGMENTS
+# or GEOM_CIRCLE props tuple, and the entity is the group's one slot
+# (N = 1), always a member (member None).  `dist` is a body group's
+# (B, N, N) slot-to-slot distances when the step has measured them (the
+# working state's `dist` for the robots), else None.
+GroupView = tuple[
+    np.ndarray | None, Sequence[np.ndarray], tuple[float, ...] | None, np.ndarray | None
+]
 
 _NO_WALLS = np.empty((0, 4))
 
@@ -122,6 +131,12 @@ class Task:
     ) -> TrialBatch:
         """Run one trial per seed in lockstep until every trial has ended.
 
+        Each step senses, acts, moves, resolves collisions, applies
+        `_constrain`, measures the robot-robot distances `s.dist`, applies
+        `_step` and writes the features.  The sensors read the distances
+        the previous step measured (after the reset, on the first step):
+        no position changes between a measurement and the next sensing.
+
         `controller` maps (R, n_inputs) sensor rows to (R, n_outputs)
         wheel commands.  With `networks`, a (B,) index per trial, it is
         called as `controller(x, index_per_row)` instead, so a stack of
@@ -133,6 +148,7 @@ class Task:
         specs, excluded = self.group_specs(), self.excluded_pairs()
         n_features = len(self.feature_names())
         s = self._reset(seeds)
+        s.dist = pairwise_distances(s.pos[..., 0], s.pos[..., 1])
         n = s.pos.shape[1]
         if networks is not None:
             s.network = np.repeat(np.asarray(networks), n).reshape(b, n)
@@ -162,6 +178,8 @@ class Task:
             s.pos = resolve_collisions_arrays(
                 np.stack([nx, ny], axis=-1), p.robot_radius, move, _NO_WALLS, max_passes=4
             )
+            s.pos = self._constrain(s, t, move)
+            s.dist = pairwise_distances(s.pos[..., 0], s.pos[..., 1])
             s.turn = p.v_max * (right - left) / p.axle
             s.lin = p.v_max * (left + right) / 2.0
             ending = self._step(s, t, move)
@@ -196,14 +214,22 @@ class Task:
         """Initial (B, ...) working state; must hold `pos` and `heading`."""
         raise NotImplementedError
 
+    def _constrain(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
+        """(B, N, 2) positions after the task's position constraint (e.g.
+        its walls) at step `t`, applied after collisions; `move` is the mask
+        of robots that moved.  The default leaves `s.pos` as it is."""
+        return s.pos
+
     def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
-        """(B, N, n_inputs) sensor readings; `rows` is arange(B)[:, None]."""
+        """(B, N, n_inputs) sensor readings; `rows` is arange(B)[:, None].
+        `s.dist` holds the distances between the current positions."""
         raise NotImplementedError
 
     def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
         """Apply the task's rules after the move of step `t`, updating `s`;
-        `move` is the mask of robots that moved.  Returns the (B,) mask of
-        trials that end with this step."""
+        `move` is the mask of robots that moved, and `s.pos` and `s.dist`
+        are final for this step.  Returns the (B,) mask of trials that end
+        with this step."""
         raise NotImplementedError
 
     def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
@@ -222,8 +248,11 @@ class Task:
         """Formal task-state view of one recorded trial step: the group
         view of that step, one entity per member slot."""
         s = SimpleNamespace(**{key: rec[key][step, trial][None] for key in self.record_keys})
+        s.dist = pairwise_distances(s.pos[..., 0], s.pos[..., 1])
         groups = []
-        for spec, (member, attrs, props) in zip(self.group_specs(), self._groups(s), strict=True):
+        for spec, (member, attrs, props, _) in zip(
+            self.group_specs(), self._groups(s), strict=True
+        ):
             slots = range(_count(None, attrs, props))
             entities = tuple(
                 EntityState(tuple(float(a[0, i]) for a in attrs), props or ())
@@ -251,7 +280,7 @@ def write_features(
     if len(view) != len(specs):
         raise ValueError(f"group view has {len(view)} groups, the task declares {len(specs)}")
     columns = []  # (values, defined), where defined None means everywhere
-    for spec, (member, attrs, props) in zip(specs, view):
+    for spec, (member, attrs, props, _) in zip(specs, view):
         if len(attrs) != spec.kappa:
             raise ValueError(
                 f"group {spec.name!r}: view has {len(attrs)} attribute columns, "
@@ -262,17 +291,18 @@ def write_features(
         if spec.eta_max > spec.eta_min:
             size = _count(member, attrs, props) - spec.eta_min
             columns.append((size / (spec.eta_max - spec.eta_min), None))
-    for member, attrs, _ in view:  # one member count serves all of a group's means
+    for member, attrs, _, _ in view:  # one member count serves all of a group's means
         if member is None:
             columns += [(values.mean(axis=-1), None) for values in attrs]
             continue
         count = member.sum(axis=-1)
         denom, defined = np.maximum(count, 1), count > 0
         columns += [((values * member).sum(axis=-1) / denom, defined) for values in attrs]
-    for spec, (member, attrs, props) in zip(specs, view):
+    for spec, (member, attrs, props, dist) in zip(specs, view):
         if spec.eta_max > 1:
             n = _count(member, attrs, props)
-            dist = pairwise_distances(attrs[0], attrs[1])
+            if dist is None:
+                dist = pairwise_distances(attrs[0], attrs[1])
             if member is not None:
                 dist = dist * (member[..., :, None] & member[..., None, :])
             # the zero diagonal adds nothing: this is the ordered-pair sum
@@ -301,7 +331,7 @@ def _pair_distance(a: GroupView, b: GroupView) -> tuple[np.ndarray, np.ndarray |
     defined."""
     if a[2] is not None and b[2] is None:  # a body group goes first
         a, b = b, a
-    (ma, attrs_a, pa), (mb, attrs_b, pb) = a, b
+    (ma, attrs_a, pa, _), (mb, attrs_b, pb, _) = a, b
     if pa is not None:  # two static entities
         return geometry_distance(EntityState((), pa), EntityState((), pb)), None
     if pb is not None:
@@ -330,14 +360,17 @@ def static_distance(x: np.ndarray, y: np.ndarray, props: tuple[float, ...]) -> n
 
 def segment_distance(x: np.ndarray, y: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Distance from each point (x, y) to the nearest of the (S, 4)
-    segments (x1, y1, x2, y2), written out per component."""
-    ax, ay = segments[:, 0], segments[:, 1]
-    ex, ey = segments[:, 2] - ax, segments[:, 3] - ay
-    seg_sq = np.maximum(ex * ex + ey * ey, 1e-30)
-    rx, ry = x[..., None] - ax, y[..., None] - ay
-    t = np.clip((rx * ex + ry * ey) / seg_sq, 0.0, 1.0)
-    dx, dy = rx - t * ex, ry - t * ey
-    return np.sqrt(dx * dx + dy * dy).min(axis=-1)
+    segments (x1, y1, x2, y2), written out per component, one segment at
+    a time."""
+    nearest = np.inf
+    for ax, ay, bx, by in segments:
+        ex, ey = bx - ax, by - ay
+        seg_sq = np.maximum(ex * ex + ey * ey, 1e-30)
+        rx, ry = x - ax, y - ay
+        t = np.clip((rx * ex + ry * ey) / seg_sq, 0.0, 1.0)
+        dx, dy = rx - t * ex, ry - t * ey
+        nearest = np.minimum(nearest, np.sqrt(dx * dx + dy * dy))
+    return nearest
 
 
 def hold_final_rows(series: np.ndarray, steps: np.ndarray) -> None:
@@ -386,16 +419,17 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def nearest_neighbor_sensor(
     pos: np.ndarray,
     heading: np.ndarray,
+    dist: np.ndarray,
     mask: np.ndarray,
     sense_range: float,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Range/bearing to each robot's nearest masked peer.
 
-    Out-of-range or absent peers read as range 1, bearing 0.  `rows` is a
-    cached arange(B)[:, None] index for the batch axis.
+    `dist` is the (B, N, N) `pairwise_distances` of `pos`; it is not
+    modified.  Out-of-range or absent peers read as range 1, bearing 0.
+    `rows` is a cached arange(B)[:, None] index for the batch axis.
     """
-    dist = pairwise_distances(pos[..., 0], pos[..., 1])
     dist = np.where(mask[:, None, :] & mask[:, :, None], dist, np.inf)
     np.einsum("bii->bi", dist)[:] = np.inf
     nearest = dist.argmin(axis=2)

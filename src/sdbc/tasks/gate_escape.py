@@ -18,7 +18,6 @@ from .base import (
     Task,
     masked_mean,
     nearest_neighbor_sensor,
-    pairwise_distances,
     random_positions,
 )
 
@@ -134,7 +133,7 @@ class GateEscapeTask(Task):
         x[..., 0] = gr
         x[..., 1] = gb / math.pi
         x[..., 2], x[..., 3] = nearest_neighbor_sensor(
-            pos, heading, s.active, p.neighbor_sense, rows
+            pos, heading, s.dist, s.active, p.neighbor_sense, rows
         )
         # proximity to the enclosing box, cheap stand-in for per-segment math
         sz = p.arena_size
@@ -150,8 +149,7 @@ class GateEscapeTask(Task):
         p = self.params
         n = p.n_robots
         cx, cy = self.gate_center
-        closed = (s.first_pass >= 0) & (t >= s.first_pass + p.gate_close_delay)
-        s.pos = pos = self._clamp_walls(s.pos, move, closed)
+        pos = s.pos
 
         newly_escaped = move & (pos[..., 1] > p.arena_size + p.robot_radius)
         if newly_escaped.any():
@@ -172,9 +170,8 @@ class GateEscapeTask(Task):
         # for the task-specific characterisation
         gate_d = np.hypot(pos[..., 0] - cx, pos[..., 1] - cy)
         to_gate, gate_ok = masked_mean(gate_d, active)
-        dist = pairwise_distances(pos[..., 0], pos[..., 1])
         n_active = active.sum(axis=1)
-        pair_total = (dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
+        pair_total = (s.dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
         s.gate_sum += to_gate * gate_ok
         s.gate_count += gate_ok
         n_pairs = np.maximum(n_active * (n_active - 1), 1)
@@ -203,26 +200,28 @@ class GateEscapeTask(Task):
         )
         return fitness, ts
 
-    def _clamp_walls(self, pos: np.ndarray, active: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    def _constrain(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
         """Analytic wall resolution for the square arena with a gated top.
 
         Equivalent to segment-based resolution: axis clamps for the walls,
         radial pushes for the gate posts, and a full top clamp once the
-        trial's gate has closed.  Escaped (inactive) robots sit outside and
-        are left alone.
+        trial's gate has closed.  Escaped robots (outside `move`) sit
+        outside and are left alone.
         """
         p = self.params
-        s, r = p.arena_size, p.robot_radius
+        closed = (s.first_pass >= 0) & (t >= s.first_pass + p.gate_close_delay)
+        pos, active = s.pos, move
+        size, r = p.arena_size, p.robot_radius
         gx1, gx2 = self.gate_center[0] - p.gate_width / 2.0, self.gate_center[0] + p.gate_width / 2.0
         x, y = pos[..., 0], pos[..., 1]
-        x = np.where(active, np.clip(x, r, s - r), x)
+        x = np.where(active, np.clip(x, r, size - r), x)
         y = np.where(active, np.maximum(y, r), y)
         in_channel = (x > gx1) & (x < gx2)
-        blocked = ~in_channel | (closed[:, None] & (y < s))
-        y = np.where(active & blocked & (y > s - r) & (y < s), s - r, y)
-        y = np.where(active & ~in_channel & (y >= s) & (y < s + r), s + r, y)
+        blocked = ~in_channel | (closed[:, None] & (y < size))
+        y = np.where(active & blocked & (y > size - r) & (y < size), size - r, y)
+        y = np.where(active & ~in_channel & (y >= size) & (y < size + r), size + r, y)
         pos = np.stack([x, y], axis=-1)
-        for post in ((gx1, s), (gx2, s)):
+        for post in ((gx1, size), (gx2, size)):
             dx = pos[..., 0] - post[0]
             dy = pos[..., 1] - post[1]
             dist = np.sqrt(dx * dx + dy * dy)
@@ -243,7 +242,7 @@ class GateEscapeTask(Task):
         """The robots still inside form the agents group; the gate is a
         point and the walls are segments."""
         return (
-            (s.active, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin, s.passing), None),
-            (None, (s.closing[:, None],), (GEOM_POINT, *self.gate_center)),
-            (None, (), (GEOM_SEGMENTS, *self.walls.ravel())),
+            (s.active, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin, s.passing), None, s.dist),
+            (None, (s.closing[:, None],), (GEOM_POINT, *self.gate_center), None),
+            (None, (), (GEOM_SEGMENTS, *self.walls.ravel()), None),
         )

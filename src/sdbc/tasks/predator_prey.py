@@ -12,7 +12,7 @@ import numpy as np
 
 from ..formalism import GEOM_CIRCLE, GroupSpec
 from ..simulation import normalize_angle
-from .base import GroupView, Task, pairwise_distances
+from .base import GroupView, Task
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class PredatorPreyTask(Task):
         bearing = normalize_angle(np.arctan2(dy, dx) - heading)
         x[..., 0] = np.where(sensed, dist / p.predator_sense, 1.0)
         x[..., 1] = np.where(sensed, bearing / math.pi, 0.0)
-        peer_d = pairwise_distances(pos[..., 0], pos[..., 1])
+        peer_d = s.dist.copy()
         np.einsum("bii->bi", peer_d)[:] = np.inf
         order = np.argsort(peer_d, axis=2, kind="stable")
         ni = np.arange(n)[None, :]
@@ -215,7 +215,7 @@ class PredatorPreyTask(Task):
         captured prey leaves its group, so its features carry forward."""
         prey = (s.prey[:, 0:1], s.prey[:, 1:2], s.prey_turn[:, None], s.prey_lin[:, None])
         return (
-            (None, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin), None),
-            (s.present[:, None] if self.params.published_layout else None, prey, None),
-            (None, (), (GEOM_CIRCLE, 0.0, 0.0, self.params.zone_radius)),
+            (None, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin), None, s.dist),
+            (s.present[:, None] if self.params.published_layout else None, prey, None, None),
+            (None, (), (GEOM_CIRCLE, 0.0, 0.0, self.params.zone_radius), None),
         )

@@ -132,15 +132,19 @@ class ResourceSharingTask(Task):
         x[..., 2] = np.where(seen, sb / math.pi, 0.0)
         x[..., 3] = np.where(seen, (s.occupant >= 0).astype(float)[:, None], 0.0)
         x[..., 4], x[..., 5] = nearest_neighbor_sensor(
-            pos, heading, s.alive, p.neighbor_sense, rows
+            pos, heading, s.dist, s.alive, p.neighbor_sense, rows
         )
         return x
 
-    def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
-        p = self.params
+    def _constrain(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
         # axis clamps are exact wall resolution for a closed box; dead
         # robots already rest inside, so clamping them is a no-op
-        s.pos = pos = np.clip(s.pos, p.robot_radius, p.arena_size - p.robot_radius)
+        p = self.params
+        return np.clip(s.pos, p.robot_radius, p.arena_size - p.robot_radius)
+
+    def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
+        p = self.params
+        pos = s.pos
 
         # station occupancy: the holder keeps it while alive and inside;
         # otherwise the nearest alive robot inside takes it
@@ -184,8 +188,13 @@ class ResourceSharingTask(Task):
     def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
         """The alive robots form the agents group; the station is a point."""
         return (
-            (s.alive, (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin, s.energy, s.charging), None),
-            (None, (s.occupied[:, None],), (GEOM_POINT, *self.station)),
+            (
+                s.alive,
+                (s.pos[..., 0], s.pos[..., 1], s.turn, s.lin, s.energy, s.charging),
+                None,
+                s.dist,
+            ),
+            (None, (s.occupied[:, None],), (GEOM_POINT, *self.station), None),
         )
 
     def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

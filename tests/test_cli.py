@@ -161,6 +161,21 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [(None, "No such file"), ("task: [unclosed\n", "while parsing a flow sequence")],
+    )
+    def test_unreadable_config_fails_with_diagnostic(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.yaml"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ")
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_resume_continues_to_identical_logs(self, tmp_path):
         cfg_path = write_config(tmp_path)
         full = load_config(cfg_path)
@@ -565,6 +580,22 @@ class TestReplay:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: invalid configuration: method")
 
+    @pytest.mark.parametrize("where", ["--config", "sibling", "missing"])
+    def test_unreadable_config_fails_with_diagnostic(self, tmp_path, capsys, where):
+        genome = tmp_path / "best_genome.txt"
+        genome.write_text(
+            "# task: predator_prey\n# inputs: 6\n# hidden: 4\n# outputs: 2\n"
+            + "0.0\n" * ControllerSpec(6, 4, 2).genome_length
+        )
+        bad = tmp_path / ("config.yaml" if where == "sibling" else "bad.yaml")
+        if where != "missing":
+            bad.write_text("task: [unclosed\n")
+        args = ["replay", str(genome)] + (["--config", str(bad)] if where != "sibling" else [])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ")
+        assert "Traceback" not in err
+
     def test_watch_replay_script_films_a_saved_genome(self, method_batch, capsys):
         spec = importlib.util.spec_from_file_location(
             "watch_replay", ROOT / "scripts" / "watch_replay.py"
@@ -653,6 +684,21 @@ class TestEnvOverrides:
         main(["run", "--config", str(cfg_path), "--seed", "55",
               "--out", str(tmp_path / "flag")])
         assert read_meta(tmp_path / "flag/run_000")["seed"] == 55
+
+    @pytest.mark.parametrize("var,flag", [("SEED", "--seed"), ("RUNS", "--runs"),
+                                          ("PARALLEL", "--parallel")])
+    def test_malformed_value_is_a_usage_error_of_run_only(
+        self, tmp_path, monkeypatch, capsys, var, flag
+    ):
+        monkeypatch.setenv(f"SDBC_{var}", "abc")
+        assert main(["print-defaults"]) == 0
+        capsys.readouterr()
+        cfg_path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPrintDefaults:

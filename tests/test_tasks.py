@@ -3,6 +3,7 @@ equivalence of the vectorised feature path with the formal extractor."""
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from sdbc.formalism import (
     extract_feature_series,
 )
 from sdbc.tasks import make_task
-from sdbc.tasks.base import pairwise_distances, random_positions
+from sdbc.simulation import normalize_angle
+from sdbc.tasks.base import (
+    nearest_neighbor_sensor,
+    pairwise_distances,
+    random_positions,
+    segment_distance,
+)
 from sdbc.tasks.gate_escape import gate_fitness
 from sdbc.tasks.predator_prey import prey_policy, pursuit_fitness
 from sdbc.tasks.resource_sharing import (
@@ -229,8 +236,8 @@ class DroppedColumn(ResourceSharingTask):
     """Its view of the agents group lacks the last attribute column."""
 
     def _groups(self, s):
-        (member, attrs, props), station = super()._groups(s)
-        return (member, attrs[:-1], props), station
+        (member, attrs, props, dist), station = super()._groups(s)
+        return (member, attrs[:-1], props, dist), station
 
 
 class DroppedGroup(ResourceSharingTask):
@@ -244,8 +251,8 @@ class MaskedStation(ResourceSharingTask):
     """Its view gives the static station a member mask."""
 
     def _groups(self, s):
-        agents, (_, attrs, props) = super()._groups(s)
-        return agents, (s.occupied[:, None] > 0, attrs, props)
+        agents, (_, attrs, props, dist) = super()._groups(s)
+        return agents, (s.occupied[:, None] > 0, attrs, props, dist)
 
 
 class DroppedName(ResourceSharingTask):
@@ -577,6 +584,113 @@ def test_plain_callable_drives_the_compacted_loop():
     assert rows_seen == [n * int((batch.steps > t).sum()) for t in range(len(rows_seen))]
     assert rows_seen[-1] < rows_seen[0]
     assert_trials_match_solo_runs(task, batch, lambda b: task.simulate(ctrl, [seeds[b]]))
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("name,overrides,genome_seed", [pin[:3] for pin in TRAJECTORY_PINS])
+def test_robot_distances_are_measured_once_per_step(
+    monkeypatch, name, overrides, genome_seed, record
+):
+    calls = []
+
+    def counted(x, y):
+        calls.append(x.shape)
+        return pairwise_distances(x, y)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("sdbc.") and vars(module).get("pairwise_distances") is (
+            pairwise_distances
+        ):
+            monkeypatch.setattr(module, "pairwise_distances", counted)
+    task = make_task(name, overrides)
+    ctrl = chase_prey if genome_seed is None else random_controller(task, genome_seed)
+    batch = task.simulate(ctrl, list(range(8)), record=record)
+    assert len(set(batch.steps.tolist())) >= 3
+    # one matrix after the reset, then one per lockstep step on the live trials
+    assert len(calls) == batch.steps.max() + 1
+    assert [shape[0] for shape in calls[1:]] == [
+        int((batch.steps > t).sum()) for t in range(batch.steps.max())
+    ]
+
+
+def reference_nearest_neighbor_sensor(pos, heading, mask, sense_range, rows):
+    """`nearest_neighbor_sensor` as it was when it measured its own
+    distance matrix; frozen here as the reference it must match bit for
+    bit."""
+    dist = pairwise_distances(pos[..., 0], pos[..., 1])
+    dist = np.where(mask[:, None, :] & mask[:, :, None], dist, np.inf)
+    np.einsum("bii->bi", dist)[:] = np.inf
+    nearest = dist.argmin(axis=2)
+    nd = dist[rows, np.arange(pos.shape[1])[None, :], nearest]
+    sensed = np.isfinite(nd) & (nd <= sense_range)
+    tx = pos[..., 0][rows, nearest]
+    ty = pos[..., 1][rows, nearest]
+    bearing = normalize_angle(np.arctan2(ty - pos[..., 1], tx - pos[..., 0]) - heading)
+    rng_col = np.where(sensed, nd / sense_range, 1.0)
+    bear_col = np.where(sensed, bearing / np.pi, 0.0)
+    return rng_col, bear_col
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_neighbor_sensor_matches_its_own_distance_reference(n):
+    rng = np.random.default_rng(n)
+    b = 60
+    pos = rng.uniform(0.0, 2.0, (b, n, 2))
+    pos[:10] = np.round(pos[:10] * 2.0) / 2.0  # coincident robots and tied distances
+    heading = rng.uniform(-np.pi, np.pi, (b, n))
+    mask = rng.uniform(size=(b, n)) < 0.6
+    mask[:5] = False  # rows with no active robot
+    mask[5:10] = True
+    rows = np.arange(b)[:, None]
+    dist = pairwise_distances(pos[..., 0], pos[..., 1])
+    before = dist.copy()
+    got = nearest_neighbor_sensor(pos, heading, dist, mask, 1.0, rows)
+    expected = reference_nearest_neighbor_sensor(pos, heading, mask, 1.0, rows)
+    assert np.array_equal(dist, before)
+    for a, e in zip(got, expected, strict=True):
+        assert np.array_equal(a, e)
+    assert (got[0][:5] == 1.0).all() and (got[1][:5] == 0.0).all()
+
+
+def reference_segment_distance(x, y, segments):
+    """`segment_distance` as it was before it took one segment at a time:
+    every segment at once on a trailing axis, then a min-reduction; frozen
+    here as the reference it must match bit for bit."""
+    ax, ay = segments[:, 0], segments[:, 1]
+    ex, ey = segments[:, 2] - ax, segments[:, 3] - ay
+    seg_sq = np.maximum(ex * ex + ey * ey, 1e-30)
+    rx, ry = x[..., None] - ax, y[..., None] - ay
+    t = np.clip((rx * ex + ry * ey) / seg_sq, 0.0, 1.0)
+    dx, dy = rx - t * ex, ry - t * ey
+    return np.sqrt(dx * dx + dy * dy).min(axis=-1)
+
+
+def test_segment_distance_matches_the_broadcast_reference():
+    walls = make_task("gate_escape").walls
+    extra = np.array([
+        (1.0, 1.0, 1.0, 1.0),      # zero length: the 1e-30 floor
+        (0.0, 0.0, 2.0, 2.0),      # diagonal
+        (-0.0, 0.5, 0.0, -0.0),    # signed zeros
+        (0.3, 1.7, 1.9, 0.2),
+    ])
+    rng = np.random.default_rng(3)
+    along = rng.uniform(0.0, 1.0, (len(walls) + len(extra), 7))
+    every = np.concatenate([walls, extra])
+    start, end = every[:, None, :2], every[:, None, 2:]
+    on_segments = start + along[..., None] * (end - start)
+    points = np.concatenate([
+        rng.uniform(-0.5, 2.5, (400, 2)),
+        every[:, :2], every[:, 2:],
+        on_segments.reshape(-1, 2),
+        [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 1.0), (1.0, 2.0)],
+    ])
+    x, y = points.T[:, None]  # (1, P) each, a batch row of P points
+    for segments in (walls, every, extra[:1], extra[1:3]):
+        got = segment_distance(x, y, segments)
+        expected = reference_segment_distance(x, y, segments)
+        assert got.shape == x.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestGateEscapeBehaviour:
