@@ -159,7 +159,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a YAML config; an unreadable file or bad YAML
     raises ConfigError too."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # PyYAML decodes, so bad bytes raise a YAMLError
             data = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(str(exc)) from exc

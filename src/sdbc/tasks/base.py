@@ -63,8 +63,9 @@ Controller = Callable[..., np.ndarray]
 # GEOM_BODY rule); for a static entity it is its GEOM_POINT, GEOM_SEGMENTS
 # or GEOM_CIRCLE props tuple, and the entity is the group's one slot
 # (N = 1), always a member (member None).  `dist` is a body group's
-# (B, N, N) slot-to-slot distances when the step has measured them (the
-# working state's `dist` for the robots), else None.
+# (B, N, N) slot-to-slot distances (the working state's `dist` for the
+# robots); it is required where the group has a dispersion (eta_max > 1)
+# and None elsewhere.
 GroupView = tuple[
     np.ndarray | None, Sequence[np.ndarray], tuple[float, ...] | None, np.ndarray | None
 ]
@@ -233,7 +234,7 @@ class Task:
         raise NotImplementedError
 
     def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
-        """The step's group view: one `(member, attrs, props)` entry per
+        """The step's group view: one `(member, attrs, props, dist)` entry per
         `group_specs()` entry, in order (see `GroupView`)."""
         raise NotImplementedError
 
@@ -248,7 +249,7 @@ class Task:
         """Formal task-state view of one recorded trial step: the group
         view of that step, one entity per member slot."""
         s = SimpleNamespace(**{key: rec[key][step, trial][None] for key in self.record_keys})
-        s.dist = pairwise_distances(s.pos[..., 0], s.pos[..., 1])
+        s.dist = None  # `_groups` only passes it through; entities need no distances
         groups = []
         for spec, (member, attrs, props, _) in zip(
             self.group_specs(), self._groups(s), strict=True
@@ -302,7 +303,7 @@ def write_features(
         if spec.eta_max > 1:
             n = _count(member, attrs, props)
             if dist is None:
-                dist = pairwise_distances(attrs[0], attrs[1])
+                raise ValueError(f"group {spec.name!r}: view has no distances for its dispersion")
             if member is not None:
                 dist = dist * (member[..., :, None] & member[..., None, :])
             # the zero diagonal adds nothing: this is the ordered-pair sum

@@ -163,12 +163,17 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "text,message",
-        [(None, "No such file"), ("task: [unclosed\n", "while parsing a flow sequence")],
+        [
+            (None, "No such file"),
+            (b"task: [unclosed\n", "while parsing a flow sequence"),
+            (b"task: \xff\xfe\x00gate\n", "unacceptable character"),
+        ],
+        ids=["missing", "bad-yaml", "not-utf8"],
     )
     def test_unreadable_config_fails_with_diagnostic(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.yaml"
         if text is not None:
-            path.write_text(text)
+            path.write_bytes(text)
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -255,6 +255,14 @@ class MaskedStation(ResourceSharingTask):
         return agents, (s.occupied[:, None] > 0, attrs, props, dist)
 
 
+class MissingDistances(ResourceSharingTask):
+    """Its view of the agents group has no distance slot."""
+
+    def _groups(self, s):
+        (member, attrs, props, _), station = super()._groups(s)
+        return (member, attrs, props, None), station
+
+
 class DroppedName(ResourceSharingTask):
     """Its schema lacks the last feature name."""
 
@@ -268,6 +276,7 @@ class DroppedName(ResourceSharingTask):
         (DroppedColumn, "attribute columns"),
         (DroppedGroup, "groups"),
         (MaskedStation, "always a member"),
+        (MissingDistances, "no distances"),
         (DroppedName, "features"),
     ],
 )
