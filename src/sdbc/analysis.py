@@ -12,9 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .runio import _replace_file
 
 
 @dataclass
@@ -270,5 +273,5 @@ def write_som_svg(
                 f'fill="none" stroke="#cc3311" stroke-width="2.5"/>'
             )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    text = "\n".join(parts)
+    _replace_file(Path(path), lambda fh: fh.write(text))

@@ -112,7 +112,8 @@ def compute_standardisation(
 def apply_standardisation(
     b: RawCharacterisation | np.ndarray, c: StandardisationCoefficients
 ) -> np.ndarray:
-    """Z-score one vector; components with zero spread map to 0."""
+    """Z-score one vector, or each row of an (n, L) matrix; components
+    with zero spread map to 0."""
     v = b.values if isinstance(b, RawCharacterisation) else np.asarray(b, dtype=float)
     if v.shape[-1] != len(c):
         raise ValueError("characterisation and coefficient lengths differ")

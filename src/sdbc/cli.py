@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import multiprocessing as mp
 import os
@@ -110,8 +109,7 @@ def execute_run(cfg: ExperimentConfig, run_dir: str | Path, resume: bool = False
     checkpoint = Path(run_dir) / "checkpoint.npz"
     if resume and checkpoint.exists() and not runio.is_complete(run_dir):
         runio.restore_state(state, run_dir)
-        writer.preload_generations()
-        writer.truncate_generations(state.generation - 1)
+        writer.resume_generations(state.generation - 1)
     else:
         init_population(state)
 
@@ -149,7 +147,7 @@ def _run_worker(payload: tuple[dict, str, bool]) -> dict:
     except Exception as exc:
         trace = traceback.format_exc()
         with contextlib.suppress(OSError):  # e.g. the run directory is missing or a file
-            error_file.write_text(trace)
+            runio._replace_file(error_file, lambda fh: fh.write(trace))
         return {"run_dir": run_dir, "error": f"{type(exc).__name__}: {exc}", "traceback": trace}
 
 
@@ -239,46 +237,28 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return _fail(f"invalid configuration: {exc}")
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    rec = batch.record
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("step", "robot", "x", "y", "heading", "left", "right"))
-            steps = int(batch.steps[0])
-            n = rec["pos"].shape[2]
-            for t in range(steps):
-                for i in range(n):
-                    w.writerow(
-                        (
-                            t,
-                            i,
-                            repr(float(rec["pos"][t, 0, i, 0])),
-                            repr(float(rec["pos"][t, 0, i, 1])),
-                            repr(float(rec["heading"][t, 0, i])),
-                            repr(float(rec["wheels"][t, 0, i, 0])),
-                            repr(float(rec["wheels"][t, 0, i, 1])),
-                        )
-                    )
-                if "prey" in rec:
-                    w.writerow(
-                        (
-                            t,
-                            "prey",
-                            repr(float(rec["prey"][t, 0, 0])),
-                            repr(float(rec["prey"][t, 0, 1])),
-                            "",
-                            "",
-                            "",
-                        )
-                    )
+        rec = batch.record  # (T, 1, ...): one trial
+        rows = []
+        for t in range(int(batch.steps[0])):
+            for i in range(rec["pos"].shape[2]):
+                xs = (*rec["pos"][t, 0, i], rec["heading"][t, 0, i], *rec["wheels"][t, 0, i])
+                rows.append((t, i, *(repr(float(x)) for x in xs)))
+            if "prey" in rec:
+                rows.append((t, "prey", *(repr(float(x)) for x in rec["prey"][t, 0]), "", "", ""))
+        runio._write_csv(
+            Path(args.out), ("step", "robot", "x", "y", "heading", "left", "right"), rows
+        )
         print(f"trajectory written to {args.out}")
     print(f"seed {seed}: fitness {float(batch.fitness[0])!r}, steps {int(batch.steps[0])}")
     return 0
 
 
 def _collect_runs(run_dirs: list[str]) -> dict[str, list[Path]]:
-    """Group completed run directories by method, skipping incomplete ones."""
+    """Group completed run directories by method, skipping incomplete ones;
+    runs of different tasks or characterisation schemas raise ValueError."""
     by_method: dict[str, list[Path]] = {}
+    first = None  # the first complete run and its meta
     for d in run_dirs:
         path = Path(d)
         if not (path / "meta.json").exists():
@@ -288,52 +268,67 @@ def _collect_runs(run_dirs: list[str]) -> dict[str, list[Path]]:
             print(f"skipping {d}: incomplete run", file=sys.stderr)
             continue
         meta = runio.read_meta(path)
+        first = first or (d, meta)
+        d0, meta0 = first
+        if (meta["task"], meta["char_schema"]) != (meta0["task"], meta0["char_schema"]):
+            raise ValueError(
+                "cannot analyse runs of different tasks together: "
+                f"{d0} is {meta0['task']} ({len(meta0['char_schema'])} components), "
+                f"{d} is {meta['task']} ({len(meta['char_schema'])} components)"
+            )
         by_method.setdefault(meta["method"], []).append(path)
     return by_method
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    by_method = _collect_runs(args.run_dirs)
+    try:
+        by_method = _collect_runs(args.run_dirs)
+    except ValueError as exc:
+        return _fail(str(exc))
     if not by_method:
         return _fail("no complete runs to analyse")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    methods = sorted(by_method)
 
     # fitness curves and per-run bests
     bests: dict[str, list[float]] = {}
-    with open(out / "fitness_curves.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("method", "generation", "mean_best_so_far", "sd_best_so_far"))
-        for method in sorted(by_method):
-            curves = []
-            for run in by_method[method]:
-                rows = runio.read_generations(run)
-                curves.append([row["best_so_far"] for row in rows])
-                bests.setdefault(method, []).append(rows[-1]["best_so_far"])
-            length = min(len(c) for c in curves)
-            mat = np.array([c[:length] for c in curves])
-            for g in range(length):
-                w.writerow(
-                    (method, g, repr(float(mat[:, g].mean())), repr(float(mat[:, g].std())))
-                )
-    with open(out / "best_fitness.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("method", "run", "best_fitness"))
-        for method in sorted(by_method):
-            for i, value in enumerate(bests[method]):
-                w.writerow((method, i, repr(value)))
+    curve_rows = []
+    for method in methods:
+        curves = []
+        for run in by_method[method]:
+            rows = runio.read_generations(run)
+            curves.append([row["best_so_far"] for row in rows])
+            bests.setdefault(method, []).append(rows[-1]["best_so_far"])
+        length = min(len(c) for c in curves)
+        mat = np.array([c[:length] for c in curves])
+        curve_rows += [
+            (method, g, repr(float(mat[:, g].mean())), repr(float(mat[:, g].std())))
+            for g in range(length)
+        ]
+    runio._write_csv(
+        out / "fitness_curves.csv",
+        ("method", "generation", "mean_best_so_far", "sd_best_so_far"),
+        curve_rows,
+    )
+    runio._write_csv(
+        out / "best_fitness.csv",
+        ("method", "run", "best_fitness"),
+        [(m, i, repr(value)) for m in methods for i, value in enumerate(bests[m])],
+    )
 
     # pairwise Mann-Whitney comparisons of per-run best fitness
-    methods = sorted(by_method)
-    with open(out / "mann_whitney.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("method_a", "method_b", "u", "p_two_sided", "p_a_greater"))
-        for i in range(len(methods)):
-            for j in range(i + 1, len(methods)):
-                a, b = bests[methods[i]], bests[methods[j]]
-                u, p2 = analysis.mann_whitney_u(a, b, "two-sided")
-                _, pg = analysis.mann_whitney_u(a, b, "greater")
-                w.writerow((methods[i], methods[j], repr(u), repr(p2), repr(pg)))
+    test_rows = []
+    for i, a in enumerate(methods):
+        for b in methods[i + 1:]:
+            u, p2 = analysis.mann_whitney_u(bests[a], bests[b], "two-sided")
+            _, pg = analysis.mann_whitney_u(bests[a], bests[b], "greater")
+            test_rows.append((a, b, repr(u), repr(p2), repr(pg)))
+    runio._write_csv(
+        out / "mann_whitney.csv",
+        ("method_a", "method_b", "u", "p_two_sided", "p_a_greater"),
+        test_rows,
+    )
 
     # MI relevance tables for every method that logged MI
     for method in methods:
@@ -343,13 +338,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 table = {r["feature"]: float(r["mi"]) for r in rows if r["mi"] != ""}
                 if table:
                     records.append(table)
-        if not records:
-            continue
-        with open(out / f"mi_table_{method.replace('+', 'plus')}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("feature", "mean_mi", "sd_mi"))
-            for name, mean, sd in analysis.mi_relevance_table(records):
-                w.writerow((name, repr(mean), repr(sd)))
+        if records:
+            runio._write_csv(
+                out / f"mi_table_{method.replace('+', 'plus')}.csv",
+                ("feature", "mean_mi", "sd_mi"),
+                [(f, repr(m), repr(sd)) for f, m, sd in analysis.mi_relevance_table(records)],
+            )
 
     # behaviour-space exploration over a shared map
     samples: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -371,8 +365,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         pooled = np.concatenate([xs for xs, _ in samples.values()])
         coeffs = compute_standardisation(pooled)
         standardised = {
-            m: (np.stack([apply_standardisation(r, coeffs) for r in xs]), fs)
-            for m, (xs, fs) in samples.items()
+            m: (apply_standardisation(xs, coeffs), fs) for m, (xs, fs) in samples.items()
         }
         rng = np.random.default_rng(args.som_seed)
         train_pool = np.concatenate([xs for xs, _ in standardised.values()])
@@ -384,24 +377,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             train_pool, args.som_width, args.som_height, args.som_epochs, rng
         )
         counts, best_cell = analysis.exploration_density(grid, standardised)
-        with open(out / "som_density.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("cell", "method", "count", "mean_fitness", "is_best_cell"))
-            for method in sorted(standardised):
-                xs, fs = standardised[method]
-                bmus = grid.bmu_batch(xs)
-                for cell in range(grid.width * grid.height):
-                    mask = bmus == cell
-                    mean_fit = repr(float(fs[mask].mean())) if mask.any() else ""
-                    w.writerow(
-                        (
-                            cell,
-                            method,
-                            int(counts[method][cell]),
-                            mean_fit,
-                            int(cell == best_cell),
-                        )
-                    )
+        density_rows = []
+        for method in sorted(standardised):
+            xs, fs = standardised[method]
+            bmus = grid.bmu_batch(xs)
+            for cell in range(grid.width * grid.height):
+                mask = bmus == cell
+                mean_fit = repr(float(fs[mask].mean())) if mask.any() else ""
+                density_rows.append(
+                    (cell, method, int(counts[method][cell]), mean_fit, int(cell == best_cell))
+                )
+        runio._write_csv(
+            out / "som_density.csv",
+            ("cell", "method", "count", "mean_fitness", "is_best_cell"),
+            density_rows,
+        )
         for method in sorted(standardised):
             analysis.write_som_svg(
                 str(out / f"som_{method.replace('+', 'plus')}.svg"),

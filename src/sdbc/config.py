@@ -15,7 +15,7 @@ from typing import Any
 import yaml
 
 from .evolution import METHODS
-from .tasks import TASKS, task_names
+from .tasks import TASKS, make_task, task_names
 
 
 class ConfigError(ValueError):
@@ -79,18 +79,21 @@ def _coerce(value: Any, target_type: type, path: str) -> Any:
     raise ConfigError(f"{path}: expected {target_type.__name__}, got {value!r}")
 
 
-def _build_section(cls: type, data: Any, path: str) -> Any:
+def _section_fields(cls: type, data: Any, path: str) -> dict[str, Any]:
+    """The fields a mapping sets, each coerced to the type of `cls`'s
+    default for it."""
     if data is None:
-        return cls()
+        return {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    known = {f.name: f for f in fields(cls)}
+    defaults = cls()
+    known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"{path}.{key}: unknown field")
-        kwargs[key] = _coerce(value, type(getattr(cls(), key)), f"{path}.{key}")
-    return cls(**kwargs)
+        kwargs[key] = _coerce(value, type(getattr(defaults, key)), f"{path}.{key}")
+    return kwargs
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
@@ -101,26 +104,29 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
+    task = str(data.get("task", ExperimentConfig.task)).replace("-", "_")
+    if task not in TASKS:
+        raise ConfigError(f"task: unknown task {task!r}; choose from {task_names()}")
 
     cfg = ExperimentConfig(
-        task=str(data.get("task", ExperimentConfig.task)).replace("-", "_"),
+        task=task,
         method=str(data.get("method", ExperimentConfig.method)),
         seed=_coerce(data.get("seed", 1), int, "seed"),
         out=str(data.get("out", "runs")),
         dump_population=_coerce(data.get("dump_population", False), bool, "dump_population"),
         checkpoint_every=_coerce(data.get("checkpoint_every", 10), int, "checkpoint_every"),
-        ga=_build_section(GAConfig, data.get("ga"), "ga"),
-        novelty=_build_section(NoveltyConfig, data.get("novelty"), "novelty"),
-        sdbc=_build_section(SdbcConfig, data.get("sdbc"), "sdbc"),
-        task_params=dict(data.get("task_params") or {}),
+        ga=GAConfig(**_section_fields(GAConfig, data.get("ga"), "ga")),
+        novelty=NoveltyConfig(**_section_fields(NoveltyConfig, data.get("novelty"), "novelty")),
+        sdbc=SdbcConfig(**_section_fields(SdbcConfig, data.get("sdbc"), "sdbc")),
+        task_params=_section_fields(TASKS[task][1], data.get("task_params"), "task_params"),
     )
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.task not in TASKS:
-        raise ConfigError(f"task: unknown task {cfg.task!r}; choose from {task_names()}")
+    """Check ranges and the task's own parameter rules; field types and
+    the task name are checked while the config is built."""
     if cfg.method not in METHODS:
         raise ConfigError(f"method: unknown method {cfg.method!r}; choose from {list(METHODS)}")
     ga = cfg.ga
@@ -146,9 +152,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    # task_params keys are validated against the task's parameter set
-    from .tasks import make_task
-
+    # the task's own checks: at least one step, group sizes within bounds
     try:
         make_task(cfg.task, cfg.task_params)
     except (TypeError, ValueError) as exc:
@@ -164,11 +168,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(str(exc)) from exc
     return config_from_dict(data or {})
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=False)
 
 
 def default_config_text() -> str:

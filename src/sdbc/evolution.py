@@ -330,25 +330,21 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
         if _uses_sdbc(state.method):
             selection_raw = sdbc_raw
             coeffs = ch.compute_standardisation(selection_raw)
-            transformed = np.stack(
-                [ch.apply_standardisation(r, coeffs) for r in selection_raw]
-            )
+            scale = 1.0
             if state.method == "ns-sd+":
                 if state.weights is None or gen % state.weight_update_period == 0:
                     state.weights = ch.compute_weights(
                         selection_raw, fitness,
                         state.delta, state.mi_bins_min, state.mi_bins_max,
                     )
-                transformed = transformed * state.weights.weights
+                scale = state.weights.weights
+            transformed = ch.apply_standardisation(selection_raw, coeffs) * scale
             archive_raw = state.archive.raw_matrix()
-            if archive_raw.size:
-                archive_view = np.stack(
-                    [ch.apply_standardisation(r, coeffs) for r in archive_raw]
-                )
-                if state.method == "ns-sd+":
-                    archive_view = archive_view * state.weights.weights
-            else:
-                archive_view = np.empty((0, 0))
+            archive_view = (
+                ch.apply_standardisation(archive_raw, coeffs) * scale
+                if archive_raw.size
+                else np.empty((0, 0))
+            )
             selection_chars = transformed
         else:  # ns-ts: the hand-designed vector is used as-is
             selection_raw = ts

@@ -12,10 +12,12 @@ Layout of a run directory:
     best_genome.txt    flat weights with a small header
     checkpoint.npz     resumable state, refreshed periodically
     done.json          completion marker with a summary
+    error.txt          traceback of a failed run, until a later run succeeds
 
-generations.csv, timing.csv and checkpoint.npz are rewritten through a
-temporary file in the run directory that then replaces the old file, so
-a run that dies mid-write leaves the previous version whole.
+Every file is written through `_replace_file`: into a temporary file in
+the same directory that then replaces the old file, so a run that dies
+mid-write leaves the previous version whole, or no file at all.  The
+command line's trajectory and analysis files are written the same way.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import IO, Any, Callable
+from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
+import yaml
 
 from . import characterisation as ch
 from . import novelty as nov
-from .config import ExperimentConfig, save_config
+from .config import ExperimentConfig
 from .evolution import EvaluationResult, EvolutionState, GenerationDetail, GenerationStats, Individual
 
 GENERATION_COLUMNS = (
@@ -42,6 +45,11 @@ GENERATION_COLUMNS = (
     "archive_size",
     "evaluations",
 )
+
+# checkpoint arrays of the EvaluationResult fields, in the order of
+# `_result_from`'s arguments; the best result's carry a "best_" prefix
+# and its fitness is `best_so_far`
+RESULT_ARRAYS = ("fitness", "raw", "ts", "trial_fitness", "trial_seeds")
 
 
 def _fmt(x: Any) -> str:
@@ -63,7 +71,7 @@ def _replace_file(path: Path, write: Callable[[IO], None], binary: bool = False)
         raise
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     def write(fh: IO) -> None:
         w = csv.writer(fh)
         w.writerow(header)
@@ -72,16 +80,49 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[list[str]]) -> No
     _replace_file(path, write)
 
 
+def _pack_results(
+    results: list[EvaluationResult | None], n_char: int, trials: int
+) -> dict[str, np.ndarray]:
+    """The RESULT_ARRAYS of `results`, one row each, and `has_result`;
+    a missing result is a row of zeros."""
+    blank = (0.0, np.zeros(n_char), np.zeros(4), np.zeros(trials), [0] * trials)
+    rows = [
+        blank if r is None
+        else (r.fitness, r.raw_characterisation.values, r.ts_characterisation,
+              r.trial_fitness, r.trial_seeds)
+        for r in results
+    ]
+    arrays = {
+        name: np.array(column, dtype=np.int64 if name == "trial_seeds" else float)
+        for name, column in zip(RESULT_ARRAYS, zip(*rows))
+    }
+    return {"has_result": np.array([r is not None for r in results]), **arrays}
+
+
+def _result_from(
+    schema: tuple[str, ...], fitness, raw, ts, trial_fitness, trial_seeds
+) -> EvaluationResult:
+    """The result that one row of `_pack_results` holds."""
+    return EvaluationResult(
+        fitness=float(fitness),
+        raw_characterisation=ch.RawCharacterisation(values=raw, schema=schema),
+        ts_characterisation=ts,
+        trial_fitness=trial_fitness,
+        trial_seeds=[int(s) for s in trial_seeds],
+    )
+
+
 class RunWriter:
     """All file writes for one run funnel through this object."""
 
     def __init__(self, run_dir: str | Path, cfg: ExperimentConfig, meta: dict[str, Any]):
         self.dir = Path(run_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.cfg = cfg
-        save_config(cfg, self.dir / "config.yaml")
-        with open(self.dir / "meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2)
+        _replace_file(
+            self.dir / "config.yaml",
+            lambda fh: yaml.safe_dump(cfg.to_dict(), fh, sort_keys=False),
+        )
+        _replace_file(self.dir / "meta.json", lambda fh: json.dump(meta, fh, indent=2))
         self._gen_rows: list[list[str]] = []
         self._timing_rows: list[list[str]] = []
 
@@ -100,24 +141,20 @@ class RunWriter:
         self._timing_rows.append([_fmt(stats.generation), _fmt(stats.wall_time)])
         self._flush_generations()
 
-    def truncate_generations(self, last_generation: int) -> None:
-        """Drop rows beyond a checkpoint when resuming a crashed run."""
-        self._gen_rows = [r for r in self._gen_rows if int(r[0]) <= last_generation]
-        self._timing_rows = [r for r in self._timing_rows if int(r[0]) <= last_generation]
-        self._flush_generations()
+    def resume_generations(self, last: int) -> None:
+        """Reload the logged rows up to generation `last`, dropping those
+        a crashed run wrote after the checkpoint it resumes from."""
 
-    def preload_generations(self) -> int:
-        """Load existing rows (resume path); returns the last generation."""
-        gen_path = self.dir / "generations.csv"
-        if gen_path.exists():
-            with open(gen_path, newline="") as fh:
-                rows = list(csv.reader(fh))[1:]
-            self._gen_rows = rows
-        timing_path = self.dir / "timing.csv"
-        if timing_path.exists():
-            with open(timing_path, newline="") as fh:
-                self._timing_rows = list(csv.reader(fh))[1:]
-        return int(self._gen_rows[-1][0]) if self._gen_rows else -1
+        def rows(name: str) -> list[list[str]]:
+            path = self.dir / name
+            if not path.exists():
+                return []
+            with open(path, newline="") as fh:
+                return [r for r in list(csv.reader(fh))[1:] if int(r[0]) <= last]
+
+        self._gen_rows = rows("generations.csv")
+        self._timing_rows = rows("timing.csv")
+        self._flush_generations()
 
     def _flush_generations(self) -> None:
         _write_csv(self.dir / "generations.csv", GENERATION_COLUMNS, self._gen_rows)
@@ -126,29 +163,22 @@ class RunWriter:
     def dump_population(self, generation: int, detail: GenerationDetail) -> None:
         pop_dir = self.dir / "population"
         pop_dir.mkdir(exist_ok=True)
-        n_char = detail.sdbc_raw.shape[1]
+        n, n_char = detail.sdbc_raw.shape
         header = (
             ["id", "fitness", "novelty"]
             + [f"ts_{i}" for i in range(detail.ts.shape[1])]
             + [f"raw_{i}" for i in range(n_char)]
             + [f"transformed_{i}" for i in range(n_char)]
         )
-        with open(pop_dir / f"gen_{generation:06d}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i in range(len(detail.ids)):
-                novelty = "" if detail.novelty is None else _fmt(detail.novelty[i])
-                transformed = (
-                    [""] * n_char
-                    if detail.transformed is None
-                    else [_fmt(v) for v in detail.transformed[i]]
-                )
-                w.writerow(
-                    [_fmt(detail.ids[i]), _fmt(detail.fitness[i]), novelty]
-                    + [_fmt(v) for v in detail.ts[i]]
-                    + [_fmt(v) for v in detail.sdbc_raw[i]]
-                    + transformed
-                )
+        novelty = [""] * n if detail.novelty is None else detail.novelty
+        transformed = [[""] * n_char] * n if detail.transformed is None else detail.transformed
+        rows = (
+            [_fmt(v) for v in (ident, fitness, score, *ts, *raw, *tr)]
+            for ident, fitness, score, ts, raw, tr in zip(
+                detail.ids, detail.fitness, novelty, detail.ts, detail.sdbc_raw, transformed
+            )
+        )
+        _write_csv(pop_dir / f"gen_{generation:06d}.csv", header, rows)
 
     def dump_feature_stats(
         self, generation: int, schema: tuple[str, ...], detail: GenerationDetail
@@ -157,35 +187,23 @@ class RunWriter:
             return
         feat_dir = self.dir / "features"
         feat_dir.mkdir(exist_ok=True)
-        mi = None
-        weights = None
-        if detail.weights is not None:
-            weights = detail.weights.weights
-            mi = weights - detail.weights.delta
-        with open(feat_dir / f"gen_{generation:06d}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("feature", "mu", "sigma", "mi", "weight"))
-            for k, name in enumerate(schema):
-                w.writerow(
-                    (
-                        name,
-                        _fmt(detail.coefficients.mu[k]),
-                        _fmt(detail.coefficients.sigma[k]),
-                        "" if mi is None else _fmt(mi[k]),
-                        "1.0" if weights is None else _fmt(weights[k]),
-                    )
-                )
+        w = detail.weights
+        mi = [""] * len(schema) if w is None else w.weights - w.delta
+        weights = ["1.0"] * len(schema) if w is None else w.weights
+        c = detail.coefficients
+        _write_csv(
+            feat_dir / f"gen_{generation:06d}.csv",
+            ("feature", "mu", "sigma", "mi", "weight"),
+            ([_fmt(v) for v in row] for row in zip(schema, c.mu, c.sigma, mi, weights)),
+        )
 
     def write_archive(self, archive: nov.NoveltyArchive) -> None:
-        with open(self.dir / "archive.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            if len(archive) == 0:
-                w.writerow(("generation",))
-                return
-            width = len(archive.entries[0][0])
-            w.writerow(("generation", *[f"raw_{i}" for i in range(width)]))
-            for raw, gen in archive.entries:
-                w.writerow([_fmt(gen)] + [_fmt(v) for v in raw])
+        width = len(archive.entries[0][0]) if len(archive) else 0
+        _write_csv(
+            self.dir / "archive.csv",
+            ("generation", *[f"raw_{i}" for i in range(width)]),
+            ([_fmt(gen)] + [_fmt(v) for v in raw] for raw, gen in archive.entries),
+        )
 
     def write_best_genome(self, state: EvolutionState, task_name: str) -> None:
         if state.best_genome is None or state.best_result is None:
@@ -203,70 +221,31 @@ class RunWriter:
             f"# trial_fitness: {','.join(_fmt(f) for f in res.trial_fitness)}",
         ]
         lines += [_fmt(w) for w in state.best_genome]
-        (self.dir / "best_genome.txt").write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        _replace_file(self.dir / "best_genome.txt", lambda fh: fh.write(text))
 
     def write_checkpoint(self, state: EvolutionState) -> None:
         pop = state.population
-        has_result = np.array([ind.result is not None for ind in pop])
         n_char = len(state.task.char_schema())
-        raw = np.zeros((len(pop), n_char))
-        ts = np.zeros((len(pop), 4))
-        fit = np.zeros(len(pop))
-        tfit = np.zeros((len(pop), state.trials))
-        tseeds = np.zeros((len(pop), state.trials), dtype=np.int64)
-        for i, ind in enumerate(pop):
-            if ind.result is not None:
-                raw[i] = ind.result.raw_characterisation.values
-                ts[i] = ind.result.ts_characterisation
-                fit[i] = ind.result.fitness
-                tfit[i] = ind.result.trial_fitness
-                tseeds[i] = ind.result.trial_seeds
+        best = _pack_results([state.best_result], n_char, state.trials)
         arch = state.archive.raw_matrix()
         arrays = dict(
             generation=state.generation,
             next_id=state.next_id,
             genomes=np.stack([ind.genome for ind in pop]),
             ids=np.array([ind.id for ind in pop]),
-            has_result=has_result,
-            fitness=fit,
-            raw=raw,
-            ts=ts,
-            trial_fitness=tfit,
-            trial_seeds=tseeds,
+            **_pack_results([ind.result for ind in pop], n_char, state.trials),
             archive_raw=arch if arch.size else np.zeros((0, n_char)),
             archive_gens=np.array(state.archive.generations(), dtype=np.int64),
             best_so_far=state.best_so_far,
             best_generation=state.best_generation,
             best_genome=(
-                state.best_genome
-                if state.best_genome is not None
-                else np.zeros(state.spec.genome_length)
+                np.zeros(state.spec.genome_length)
+                if state.best_genome is None
+                else state.best_genome
             ),
-            best_trial_seeds=(
-                np.array(state.best_result.trial_seeds, dtype=np.int64)
-                if state.best_result is not None
-                else np.zeros(state.trials, dtype=np.int64)
-            ),
-            best_trial_fitness=(
-                state.best_result.trial_fitness
-                if state.best_result is not None
-                else np.zeros(state.trials)
-            ),
-            best_ts=(
-                state.best_result.ts_characterisation
-                if state.best_result is not None
-                else np.zeros(4)
-            ),
-            best_raw=(
-                state.best_result.raw_characterisation.values
-                if state.best_result is not None
-                else np.zeros(n_char)
-            ),
-            weights=(
-                state.weights.weights
-                if state.weights is not None
-                else np.zeros(0)
-            ),
+            **{f"best_{name}": best[name][0] for name in RESULT_ARRAYS[1:]},
+            weights=state.weights.weights if state.weights is not None else np.zeros(0),
         )
         # an open handle, because np.savez appends ".npz" to a path name
         _replace_file(
@@ -274,59 +253,40 @@ class RunWriter:
         )
 
     def mark_done(self, state: EvolutionState) -> None:
-        with open(self.dir / "done.json", "w") as fh:
-            json.dump(
-                {
-                    "generations": state.generation,
-                    "best_fitness": state.best_so_far,
-                    "best_generation": state.best_generation,
-                    "archive_size": len(state.archive),
-                },
-                fh,
-                indent=2,
-            )
+        summary = {
+            "generations": state.generation,
+            "best_fitness": state.best_so_far,
+            "best_generation": state.best_generation,
+            "archive_size": len(state.archive),
+        }
+        _replace_file(self.dir / "done.json", lambda fh: json.dump(summary, fh, indent=2))
 
 
 def restore_state(state: EvolutionState, run_dir: str | Path) -> None:
     """Load a checkpoint into a freshly constructed EvolutionState."""
-    data = np.load(Path(run_dir) / "checkpoint.npz")
     schema = state.task.char_schema()
-    state.generation = int(data["generation"])
-    state.next_id = int(data["next_id"])
-    state.population = []
-    for i in range(data["genomes"].shape[0]):
-        result = None
-        if data["has_result"][i]:
-            result = EvaluationResult(
-                fitness=float(data["fitness"][i]),
-                raw_characterisation=ch.RawCharacterisation(
-                    values=data["raw"][i], schema=schema
-                ),
-                ts_characterisation=data["ts"][i],
-                trial_fitness=data["trial_fitness"][i],
-                trial_seeds=[int(s) for s in data["trial_seeds"][i]],
+    with np.load(Path(run_dir) / "checkpoint.npz") as data:
+        state.generation = int(data["generation"])
+        state.next_id = int(data["next_id"])
+        results = zip(*(data[name] for name in RESULT_ARRAYS))
+        state.population = [
+            Individual(int(i), genome, _result_from(schema, *row) if has else None)
+            for i, genome, has, row in zip(
+                data["ids"], data["genomes"], data["has_result"], results
             )
-        state.population.append(
-            Individual(id=int(data["ids"][i]), genome=data["genomes"][i], result=result)
-        )
-    state.archive = nov.NoveltyArchive()
-    for raw, gen in zip(data["archive_raw"], data["archive_gens"]):
-        state.archive.add(raw, int(gen))
-    state.best_so_far = float(data["best_so_far"])
-    state.best_generation = int(data["best_generation"])
-    state.best_genome = data["best_genome"]
-    if state.best_generation >= 0:
-        state.best_result = EvaluationResult(
-            fitness=float(data["best_so_far"]),
-            raw_characterisation=ch.RawCharacterisation(
-                values=data["best_raw"], schema=schema
-            ),
-            ts_characterisation=data["best_ts"],
-            trial_fitness=data["best_trial_fitness"],
-            trial_seeds=[int(s) for s in data["best_trial_seeds"]],
-        )
-    if data["weights"].size:
-        state.weights = ch.FeatureWeights(weights=data["weights"], delta=state.delta)
+        ]
+        state.archive = nov.NoveltyArchive()
+        for raw, gen in zip(data["archive_raw"], data["archive_gens"]):
+            state.archive.add(raw, int(gen))
+        state.best_so_far = float(data["best_so_far"])
+        state.best_generation = int(data["best_generation"])
+        state.best_genome = data["best_genome"]
+        if state.best_generation >= 0:
+            state.best_result = _result_from(
+                schema, data["best_so_far"], *(data[f"best_{name}"] for name in RESULT_ARRAYS[1:])
+            )
+        if data["weights"].size:
+            state.weights = ch.FeatureWeights(weights=data["weights"], delta=state.delta)
 
 
 # --------------------------------------------------------------------------

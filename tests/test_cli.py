@@ -1,7 +1,9 @@
 """Configuration validation, run determinism, replay round trips, analyze."""
 
 import csv
+import hashlib
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -114,6 +116,21 @@ class TestConfig:
     def test_type_validation(self):
         with pytest.raises(ConfigError, match="ga.population"):
             config_from_dict({"ga": {"population": "many"}})
+        # task_params follow the field types of the task's params dataclass
+        for task, params, message in [
+            ("resource_sharing", 5, "task_params: expected a mapping"),
+            ("resource_sharing", [1, 2], "task_params: expected a mapping"),
+            ("resource_sharing", {"max_steps": 2.5}, "task_params.max_steps: expected int"),
+            ("resource_sharing", {"n_robots": True}, "task_params.n_robots: expected int"),
+            ("resource_sharing", {"v_max": "fast"}, "task_params.v_max: expected float"),
+            ("gate_escape", {"published_layout": 3}, "published_layout: expected bool"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                config_from_dict({"task": task, "task_params": params})
+        # an int is a valid float, as in the other sections
+        cfg = config_from_dict({"task_params": {"start_energy": 15}})
+        assert cfg.task_params == {"start_energy": 15.0}
+        assert type(cfg.task_params["start_energy"]) is float
 
 
 class TestRun:
@@ -181,6 +198,22 @@ class TestRun:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            (5, "task_params: expected a mapping"),
+            ({"max_steps": 2.5}, "task_params.max_steps: expected int, got 2.5"),
+        ],
+        ids=["number", "float-steps"],
+    )
+    def test_mistyped_task_params_fail_with_diagnostic(self, tmp_path, capsys, params, message):
+        cfg_path = write_config(tmp_path, task_params=params)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid configuration: {message}\n"
+        assert not out.exists()
+
     def test_resume_continues_to_identical_logs(self, tmp_path):
         cfg_path = write_config(tmp_path)
         full = load_config(cfg_path)
@@ -225,6 +258,34 @@ class TestRun:
         assert main([
             "run", "--config", str(cfg_path), "--out", str(tmp_path / "crashed"), "--resume"
         ]) == 0
+        a = (tmp_path / "full/run_000/generations.csv").read_bytes()
+        b = (run / "generations.csv").read_bytes()
+        assert a == b
+
+    def test_crash_during_done_write_leaves_no_marker(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "full")]) == 0
+
+        real_dump = json.dump
+
+        def dump_dying_midway(obj, fh, **kwargs):
+            if "archive_size" not in obj:  # meta.json, not the completion summary
+                return real_dump(obj, fh, **kwargs)
+            text = json.dumps(obj, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_dying_midway)
+        run = tmp_path / "crashed/run_000"
+        with pytest.raises(OSError, match="disk full"):
+            execute_run(load_config(cfg_path), run)
+        monkeypatch.undo()
+        assert not (run / "done.json").exists()
+        assert not list(run.glob("*.tmp"))
+        assert main([
+            "run", "--config", str(cfg_path), "--out", str(tmp_path / "crashed"), "--resume"
+        ]) == 0
+        assert json.loads((run / "done.json").read_text())["generations"] == 3
         a = (tmp_path / "full/run_000/generations.csv").read_bytes()
         b = (run / "generations.csv").read_bytes()
         assert a == b
@@ -471,6 +532,156 @@ class TestMethodBatch:
         assert exc.value.code == 2
 
 
+# sha256 (first 16 hex digits) of every file of a two-method batch with
+# population dumps and an archive, and of its analysis.  timing.csv holds
+# wall-clock times and is left out.  A checkpoint's zip holds timestamps,
+# so each of its arrays counts on its own, over dtype, shape and bytes; a
+# checkpoint keeps these names, dtypes and shapes, so an older one still
+# resumes.  A change to what any file holds updates these and says why.
+# The pins are bit-level, so another NumPy build or CPU may move them.
+RUN_FILE_PINS = {
+    "analysis/best_fitness.csv": "87a07dc4f9e2a66a",
+    "analysis/fitness_curves.csv": "6e6d44dfed817148",
+    "analysis/mann_whitney.csv": "a3d0460c1a4cb696",
+    "analysis/mi_table_ns-sdplus.csv": "4e347be3b7df7674",
+    "analysis/som_density.csv": "e5177a7d08788f8e",
+    "analysis/som_ns-sd.svg": "d10a8052bf801e14",
+    "analysis/som_ns-sdplus.svg": "b9068cea6d7d4af3",
+    "o/ns-sd/run_000/archive.csv": "16ec39d49ac5326d",
+    "o/ns-sd/run_000/best_genome.txt": "e03640a33bbe0de4",
+    "o/ns-sd/run_000/checkpoint.npz:generation": "a1901ca8a3328d78",
+    "o/ns-sd/run_000/checkpoint.npz:next_id": "9cfd2c6a0ebe72b9",
+    "o/ns-sd/run_000/checkpoint.npz:genomes": "fe44734b3cd5585c",
+    "o/ns-sd/run_000/checkpoint.npz:ids": "c22a63c755d28e73",
+    "o/ns-sd/run_000/checkpoint.npz:has_result": "cff88e5482d8b8a8",
+    "o/ns-sd/run_000/checkpoint.npz:fitness": "c6d050658288d922",
+    "o/ns-sd/run_000/checkpoint.npz:raw": "29a6b531d5c3d7fa",
+    "o/ns-sd/run_000/checkpoint.npz:ts": "6db8a02c360761d4",
+    "o/ns-sd/run_000/checkpoint.npz:trial_fitness": "405adc71debefe03",
+    "o/ns-sd/run_000/checkpoint.npz:trial_seeds": "03afb0c5b59d79eb",
+    "o/ns-sd/run_000/checkpoint.npz:archive_raw": "3e5b18da6ee64d9e",
+    "o/ns-sd/run_000/checkpoint.npz:archive_gens": "d1e898391b367fd3",
+    "o/ns-sd/run_000/checkpoint.npz:best_so_far": "7c632f445988f41c",
+    "o/ns-sd/run_000/checkpoint.npz:best_generation": "b2886e3f3b72f03a",
+    "o/ns-sd/run_000/checkpoint.npz:best_genome": "a5a3be3fcc4bc416",
+    "o/ns-sd/run_000/checkpoint.npz:best_trial_seeds": "714b266b27eeb6aa",
+    "o/ns-sd/run_000/checkpoint.npz:best_trial_fitness": "1d524d0234d3aa3d",
+    "o/ns-sd/run_000/checkpoint.npz:best_ts": "4a1d4198f14dec4f",
+    "o/ns-sd/run_000/checkpoint.npz:best_raw": "8e4056780365ca7f",
+    "o/ns-sd/run_000/checkpoint.npz:weights": "4bd9799159c99b78",
+    "o/ns-sd/run_000/config.yaml": "e5b9367cc298a86b",
+    "o/ns-sd/run_000/done.json": "8d2dd09fb14bdfea",
+    "o/ns-sd/run_000/features/gen_000000.csv": "b2c49ea4c6da2fb2",
+    "o/ns-sd/run_000/features/gen_000001.csv": "0b6072af70155c4e",
+    "o/ns-sd/run_000/features/gen_000002.csv": "f4e052898897d359",
+    "o/ns-sd/run_000/generations.csv": "382dc6cc04c0123b",
+    "o/ns-sd/run_000/meta.json": "d6e690d15edec8ed",
+    "o/ns-sd/run_000/population/gen_000000.csv": "43e75e4b8439b54b",
+    "o/ns-sd/run_000/population/gen_000001.csv": "34f33751fde04f0b",
+    "o/ns-sd/run_000/population/gen_000002.csv": "b879124d26b32a5c",
+    "o/ns-sdplus/run_000/archive.csv": "8c7e9ef10b399332",
+    "o/ns-sdplus/run_000/best_genome.txt": "c1699d786400f757",
+    "o/ns-sdplus/run_000/checkpoint.npz:generation": "a1901ca8a3328d78",
+    "o/ns-sdplus/run_000/checkpoint.npz:next_id": "9cfd2c6a0ebe72b9",
+    "o/ns-sdplus/run_000/checkpoint.npz:genomes": "1546ced0e9b1455a",
+    "o/ns-sdplus/run_000/checkpoint.npz:ids": "e516595ca8a35aac",
+    "o/ns-sdplus/run_000/checkpoint.npz:has_result": "cff88e5482d8b8a8",
+    "o/ns-sdplus/run_000/checkpoint.npz:fitness": "abccd205f204c35a",
+    "o/ns-sdplus/run_000/checkpoint.npz:raw": "accf4c2e2ec3a598",
+    "o/ns-sdplus/run_000/checkpoint.npz:ts": "8b045f541671f192",
+    "o/ns-sdplus/run_000/checkpoint.npz:trial_fitness": "bca57d7092f03879",
+    "o/ns-sdplus/run_000/checkpoint.npz:trial_seeds": "0070851d65cd5c39",
+    "o/ns-sdplus/run_000/checkpoint.npz:archive_raw": "094c25febf9f5d2c",
+    "o/ns-sdplus/run_000/checkpoint.npz:archive_gens": "61e759722bcd4423",
+    "o/ns-sdplus/run_000/checkpoint.npz:best_so_far": "abadd99f38a7c606",
+    "o/ns-sdplus/run_000/checkpoint.npz:best_generation": "6c48133231bdfebd",
+    "o/ns-sdplus/run_000/checkpoint.npz:best_genome": "8638eafb9c38ccca",
+    "o/ns-sdplus/run_000/checkpoint.npz:best_trial_seeds": "95e232fd93fc0994",
+    "o/ns-sdplus/run_000/checkpoint.npz:best_trial_fitness": "e08db5b8bab173f2",
+    "o/ns-sdplus/run_000/checkpoint.npz:best_ts": "4f9f1055ba8c6abc",
+    "o/ns-sdplus/run_000/checkpoint.npz:best_raw": "f225c3b24acdae82",
+    "o/ns-sdplus/run_000/checkpoint.npz:weights": "ddb8482114e05b31",
+    "o/ns-sdplus/run_000/config.yaml": "19502255dad82983",
+    "o/ns-sdplus/run_000/done.json": "b7b0905d16919860",
+    "o/ns-sdplus/run_000/features/gen_000000.csv": "6d288cc264004a36",
+    "o/ns-sdplus/run_000/features/gen_000001.csv": "d89ab9c114bde865",
+    "o/ns-sdplus/run_000/features/gen_000002.csv": "0be7276ac6687fb6",
+    "o/ns-sdplus/run_000/generations.csv": "40a1aaeef409821b",
+    "o/ns-sdplus/run_000/meta.json": "5238b549de85f4ab",
+    "o/ns-sdplus/run_000/population/gen_000000.csv": "c39a157033e7a3ed",
+    "o/ns-sdplus/run_000/population/gen_000001.csv": "e8ab9690639dcd30",
+    "o/ns-sdplus/run_000/population/gen_000002.csv": "80f30994b212f637",
+}
+
+
+def file_digests(root: Path) -> dict[str, str]:
+    """The RUN_FILE_PINS digests of every file under `root`."""
+    out = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root).as_posix()
+        if path.name == "timing.csv":
+            continue
+        if path.suffix == ".npz":
+            with np.load(path) as data:
+                for name in data.files:
+                    a = data[name]
+                    h = hashlib.sha256(f"{a.dtype.str} {a.shape} ".encode() + a.tobytes())
+                    out[f"{rel}:{name}"] = h.hexdigest()[:16]
+        else:
+            out[rel] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    return out
+
+
+@pytest.fixture(scope="module")
+def pinned_batch(tmp_path_factory):
+    """The RUN_FILE_PINS batch: `run --method ns-sd ns-sd+` and `analyze`,
+    with relative paths, so config.yaml holds no temporary directory."""
+    cfg_path = tmp_path_factory.mktemp("pinned_config") / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump({**TINY, "novelty": {"archive_rate": 0.5}}))
+    work = tmp_path_factory.mktemp("pinned")
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        assert main([
+            "run", "--config", str(cfg_path), "--method", "ns-sd", "ns-sd+", "--out", "o"
+        ]) == 0
+        runs = sorted(str(p) for p in Path("o").glob("*/run_*"))
+        assert main([
+            "analyze", *runs, "--out", "analysis", "--som-epochs", "2",
+            "--som-width", "3", "--som-height", "3",
+        ]) == 0
+    finally:
+        os.chdir(cwd)
+    return work
+
+
+class TestRunFiles:
+    def test_run_and_analysis_files_match_their_pins(self, pinned_batch):
+        assert file_digests(pinned_batch) == RUN_FILE_PINS
+
+    def test_every_file_is_written_through_a_rename(self, tmp_path, monkeypatch):
+        # a file renamed into place from NAME.tmp is never seen half-written
+        renamed = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            assert Path(src) == Path(str(dst) + ".tmp")
+            renamed.append(Path(dst))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        cfg_path = write_config(tmp_path, {"novelty.archive_rate": 0.5})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out / "runs")]) == 0
+        run = out / "runs/run_000"
+        analysis = out / "analysis"
+        assert main(["analyze", str(run), "--out", str(analysis), "--som-epochs", "1"]) == 0
+        replay_out = out / "trajectory.csv"
+        assert main(["replay", str(run / "best_genome.txt"), "--out", str(replay_out)]) == 0
+        written = {p for p in out.rglob("*") if p.is_file()}
+        assert len(written) > 15 and written == set(renamed)
+
+
 class TestReplay:
     def test_round_trip_reproduces_logged_trial_fitness(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -636,6 +847,23 @@ def run_batch(tmp_path_factory):
     return tmp, dirs
 
 
+@pytest.fixture(scope="module")
+def other_task_runs(tmp_path_factory):
+    """One small complete run each of gate escape (both layouts) and pursuit."""
+    tmp = tmp_path_factory.mktemp("other_tasks")
+    small = {"seed": 3, "dump_population": True,
+             "ga": {"population": 4, "generations": 1, "trials": 1, "hidden_units": 2}}
+    runs = {}
+    for name, task, params in [
+        ("gate", "gate_escape", {"max_steps": 20}),
+        ("gate-unpublished", "gate_escape", {"max_steps": 20, "published_layout": False}),
+        ("pursuit", "predator_prey", {"max_steps": 20}),
+    ]:
+        runs[name] = tmp / name
+        execute_run(config_from_dict({**small, "task": task, "task_params": params}), runs[name])
+    return runs
+
+
 class TestAnalyze:
 
     def test_outputs_exist(self, run_batch, tmp_path):
@@ -674,6 +902,38 @@ class TestAnalyze:
                      "--som-epochs", "1"])
         assert code == 0
         assert "skipping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "other,described",
+        [
+            ("pursuit", "is predator_prey (27 components)"),
+            ("gate", "is gate_escape (21 components)"),
+        ],
+    )
+    def test_runs_of_another_task_are_rejected(
+        self, run_batch, other_task_runs, tmp_path, capsys, other, described
+    ):
+        _, dirs = run_batch
+        out = tmp_path / "analysis"
+        runs = [str(dirs[0]), str(other_task_runs[other])]
+        assert main(["analyze", *runs, "--out", str(out), "--som-epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: cannot analyse runs of different tasks together: "
+            f"{runs[0]} is resource_sharing (21 components), {runs[1]} {described}\n"
+        )
+        assert not out.exists()
+
+    def test_runs_of_another_layout_are_rejected(self, other_task_runs, tmp_path, capsys):
+        runs = [str(other_task_runs["gate"]), str(other_task_runs["gate-unpublished"])]
+        out = tmp_path / "analysis"
+        assert main(["analyze", *runs, "--out", str(out), "--som-epochs", "1"]) == 2
+        # the same task, but a schema with the gate-walls distance
+        assert capsys.readouterr().err == (
+            "error: cannot analyse runs of different tasks together: "
+            f"{runs[0]} is gate_escape (21 components), {runs[1]} is gate_escape (23 components)\n"
+        )
+        assert not out.exists()
 
 
 class TestEnvOverrides:
