@@ -23,18 +23,6 @@ from .formalism import FeatureSnapshot
 
 
 @dataclass(frozen=True)
-class RawCharacterisation:
-    """Fixed-length behaviour vector: [means, finals, duration], length 2F+1."""
-
-    values: np.ndarray
-    schema: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.schema):
-            raise ValueError("characterisation values and schema lengths differ")
-
-
-@dataclass(frozen=True)
 class StandardisationCoefficients:
     mu: np.ndarray
     sigma: np.ndarray
@@ -60,11 +48,12 @@ def characterisation_schema(feature_names: Sequence[str]) -> tuple[str, ...]:
 
 def aggregate(
     samples: Sequence[FeatureSnapshot], steps_elapsed: int, max_steps: int
-) -> RawCharacterisation:
+) -> np.ndarray:
     """Collapse a trial's feature samples into one raw characterisation.
 
     The vector is the per-feature mean over all samples, then the final
-    sample, then the normalised trial duration.
+    sample, then the normalised trial duration; its components are named
+    by `characterisation_schema` of the samples' schema.
     """
     if not samples:
         raise ValueError("cannot aggregate zero feature samples")
@@ -75,8 +64,7 @@ def aggregate(
         if s.schema != schema:
             raise ValueError("feature samples disagree on schema")
     mat = np.array([s.values for s in samples], dtype=float)
-    values = np.concatenate([mat.mean(axis=0), mat[-1], [steps_elapsed / max_steps]])
-    return RawCharacterisation(values=values, schema=characterisation_schema(schema))
+    return np.concatenate([mat.mean(axis=0), mat[-1], [steps_elapsed / max_steps]])
 
 
 def aggregate_batch(
@@ -93,28 +81,19 @@ def aggregate_batch(
     return np.concatenate([means, final, duration], axis=1)
 
 
-def _as_matrix(population: Sequence[RawCharacterisation] | np.ndarray) -> np.ndarray:
-    if isinstance(population, np.ndarray):
-        return population
-    return np.array([c.values for c in population], dtype=float)
-
-
-def compute_standardisation(
-    population: Sequence[RawCharacterisation] | np.ndarray,
-) -> StandardisationCoefficients:
-    """Per-component population mean and (population) standard deviation."""
-    mat = _as_matrix(population)
+def compute_standardisation(population: np.ndarray) -> StandardisationCoefficients:
+    """Per-component mean and (population) standard deviation of the
+    (n, L) raw characterisations of a population."""
+    mat = np.asarray(population, dtype=float)
     if mat.shape[0] == 0:
         raise ValueError("cannot standardise an empty population")
     return StandardisationCoefficients(mu=mat.mean(axis=0), sigma=mat.std(axis=0))
 
 
-def apply_standardisation(
-    b: RawCharacterisation | np.ndarray, c: StandardisationCoefficients
-) -> np.ndarray:
+def apply_standardisation(b: np.ndarray, c: StandardisationCoefficients) -> np.ndarray:
     """Z-score one vector, or each row of an (n, L) matrix; components
     with zero spread map to 0."""
-    v = b.values if isinstance(b, RawCharacterisation) else np.asarray(b, dtype=float)
+    v = np.asarray(b, dtype=float)
     if v.shape[-1] != len(c):
         raise ValueError("characterisation and coefficient lengths differ")
     sigma = np.where(c.sigma > 0.0, c.sigma, 1.0)
@@ -168,14 +147,14 @@ def estimate_mutual_information(
 
 
 def compute_weights(
-    population: Sequence[RawCharacterisation] | np.ndarray,
+    population: np.ndarray,
     fitnesses: Sequence[float],
     delta: float = 0.25,
     bins_min: int = 4,
     bins_max: int = 16,
 ) -> FeatureWeights:
     """Per-component weight: `delta` plus the component's MI with fitness."""
-    mat = _as_matrix(population)
+    mat = np.asarray(population, dtype=float)
     if mat.shape[0] == 0:
         raise ValueError("cannot weight an empty population")
     fit = np.asarray(fitnesses, dtype=float)

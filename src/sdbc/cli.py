@@ -9,7 +9,9 @@ write OUT/<method>/run_i, with "+" spelled "plus".  `--parallel`
 distributes whole runs over worker processes, which cannot change any
 run's results.  A run that fails is reported and the others carry on;
 `run` then exits with status 1.  `--resume` continues unfinished runs
-and leaves complete ones as they are.
+and leaves complete ones as they are; it refuses, before any run starts,
+a config that differs from a run's `config.yaml` in any field but `out`
+and `ga.generations`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import sys
 import traceback
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -151,6 +154,38 @@ def _run_worker(payload: tuple[dict, str, bool]) -> dict:
         return {"run_dir": run_dir, "error": f"{type(exc).__name__}: {exc}", "traceback": trace}
 
 
+def _flat_fields(d: dict, prefix: str = "") -> dict[str, Any]:
+    """A nested config mapping as {dotted field path: value}."""
+    out: dict[str, Any] = {}
+    for key, value in d.items():
+        if isinstance(value, dict):
+            out.update(_flat_fields(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _resume_conflict(run_dir: Path, cfg_dict: dict) -> str | None:
+    """Why `run_dir` cannot be resumed under `cfg_dict`, or None.
+
+    A resumed run must keep the config its `config.yaml` records, except
+    for `out` and `ga.generations`, so that a run can be extended; a
+    directory without `config.yaml` holds no run to keep."""
+    path = run_dir / "config.yaml"
+    if not path.exists():
+        return None
+    try:
+        old = _flat_fields(load_config(path).to_dict())
+    except ConfigError as exc:
+        return f"config.yaml: {exc}"
+    new = _flat_fields(cfg_dict)
+    for key in {**new, **old}:  # the job's field order, then fields only the run has
+        was, now = old.get(key, "unset"), new.get(key, "unset")
+        if was != now and key not in ("out", "ga.generations"):
+            return f"cannot resume with another {key}: the run has {was!r}, the config {now!r}"
+    return None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
@@ -182,6 +217,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             run_cfg_dict["method"] = method
             run_cfg_dict["seed"] = cfg.seed + METHOD_SEED_STRIDE * j + i
             jobs.append((run_cfg_dict, str(method_root / f"run_{i:03d}"), args.resume))
+    if args.resume:
+        for run_cfg_dict, run_dir, _ in jobs:
+            conflict = _resume_conflict(Path(run_dir), run_cfg_dict)
+            if conflict:
+                return _fail(f"{run_dir}: {conflict}")
 
     if args.parallel > 1 and len(jobs) > 1:
         with mp.get_context("spawn").Pool(min(args.parallel, len(jobs))) as pool:

@@ -5,6 +5,11 @@ group.  Selection ranks the population either by fitness alone or by
 Pareto dominance over (fitness, novelty).  All randomness derives from the
 master seed through counter-keyed seed sequences, so results do not depend
 on evaluation order and runs can resume mid-way bit-exactly.
+
+The population is a set of row-aligned arrays: genomes, ids, a
+`has_result` mask and an `EvaluationResult` of per-genome result columns.
+Elites keep their rows and results; children arrive as rows of zeros that
+the next generation evaluates.  A checkpoint saves these arrays as they are.
 """
 
 from __future__ import annotations
@@ -78,13 +83,6 @@ class StackedControllers:
         logistic = 1.0 / (1.0 + np.exp(-o))
         return self.out_low + (self.out_high - self.out_low) * logistic
 
-    def act(self, sensors: Sequence[float]) -> tuple[float, ...]:
-        """Single-robot convenience for one network: sensor tuple to
-        effector tuple."""
-        if self.k != 1:
-            raise ValueError("act needs exactly one network")
-        return tuple(self(np.asarray(sensors, dtype=float)[None, :])[0])
-
 
 def build_controller(genome: np.ndarray, spec: ControllerSpec) -> StackedControllers:
     """Deterministic genome-to-network construction.
@@ -143,14 +141,32 @@ def stream_rng(master_seed: int, tag: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class EvaluationResult:
-    """Trial-averaged outcome of evaluating one genome."""
+    """Trial-averaged outcomes of evaluating genomes, one row per genome.
 
-    fitness: float
-    raw_characterisation: ch.RawCharacterisation
-    ts_characterisation: np.ndarray
-    trial_fitness: np.ndarray
-    trial_seeds: list[int]
-    trial_raw: np.ndarray | None = None  # (trials, 2F+1); not kept in checkpoints
+    Indexing takes rows, so `result[i]` is genome i's outcome.  In the
+    population, a row that holds no result yet is all zeros.
+    """
+
+    fitness: np.ndarray        # (K,)
+    raw: np.ndarray            # (K, 2F+1) raw SDBC characterisation
+    ts: np.ndarray             # (K, 4) task-specific characterisation
+    trial_fitness: np.ndarray  # (K, trials)
+    trial_seeds: np.ndarray    # (K, trials) int64
+
+    @classmethod
+    def zeros(cls, n: int, n_char: int, trials: int) -> EvaluationResult:
+        return cls(
+            np.zeros(n), np.zeros((n, n_char)), np.zeros((n, 4)),
+            np.zeros((n, trials)), np.zeros((n, trials), dtype=np.int64),
+        )
+
+    def __getitem__(self, rows) -> EvaluationResult:
+        return EvaluationResult(**{name: a[rows] for name, a in vars(self).items()})
+
+    def put(self, rows, other: EvaluationResult) -> None:
+        """Overwrite `rows` of every column with `other`'s."""
+        for name, column in vars(self).items():
+            column[rows] = getattr(other, name)
 
 
 def evaluate(
@@ -169,8 +185,8 @@ def evaluate_population(
     task: Task,
     spec: ControllerSpec,
     seeds_per_genome: Sequence[Sequence[int]],
-) -> list[EvaluationResult]:
-    """Evaluate many genomes in one flat trial batch.
+) -> EvaluationResult:
+    """Evaluate many genomes in one flat trial batch; one result row each.
 
     Every trial carries its genome's index, so the stacked networks stay
     matched to their rows while finished trials leave the batch.  Trials
@@ -189,28 +205,14 @@ def evaluate_population(
     batch = task.simulate(
         controller, flat_seeds, record=False, networks=np.repeat(np.arange(k), trials)
     )
-    schema = task.char_schema()
-    results = []
-    for i in range(k):
-        sl = slice(i * trials, (i + 1) * trials)
-        results.append(
-            EvaluationResult(
-                fitness=float(batch.fitness[sl].mean()),
-                raw_characterisation=ch.RawCharacterisation(batch.raw[sl].mean(axis=0), schema),
-                ts_characterisation=batch.ts_chars[sl].mean(axis=0),
-                trial_fitness=batch.fitness[sl],
-                trial_seeds=list(seeds_per_genome[i]),
-                trial_raw=batch.raw[sl],
-            )
-        )
-    return results
-
-
-@dataclass
-class Individual:
-    id: int
-    genome: np.ndarray
-    result: EvaluationResult | None = None
+    trial_fitness = batch.fitness.reshape(k, trials)
+    return EvaluationResult(
+        fitness=trial_fitness.mean(axis=1),
+        raw=batch.raw.reshape(k, trials, -1).mean(axis=1),
+        ts=batch.ts_chars.reshape(k, trials, -1).mean(axis=1),
+        trial_fitness=trial_fitness,
+        trial_seeds=np.array(seeds_per_genome, dtype=np.int64),
+    )
 
 
 @dataclass
@@ -227,7 +229,9 @@ class GenerationStats:
 
 @dataclass
 class GenerationDetail:
-    """Per-individual arrays exposed to logging hooks after each generation."""
+    """Per-individual arrays exposed to logging hooks after each generation:
+    the generation's own population arrays, which breeding replaces rather
+    than overwrites."""
 
     ids: np.ndarray
     fitness: np.ndarray
@@ -263,13 +267,17 @@ class EvolutionState:
     mi_bins_max: int = 16
     weight_update_period: int = 1
 
-    population: list[Individual] = field(default_factory=list)
+    # the population, one row per individual
+    genomes: np.ndarray | None = None        # (P, genome_length)
+    ids: np.ndarray | None = None            # (P,) int64
+    has_result: np.ndarray | None = None     # (P,) bool
+    results: EvaluationResult | None = None  # (P, ...)
     generation: int = 0
     next_id: int = 0
     archive: nov.NoveltyArchive = field(default_factory=nov.NoveltyArchive)
     best_so_far: float = -np.inf
     best_genome: np.ndarray | None = None
-    best_result: EvaluationResult | None = None
+    best_result: EvaluationResult | None = None  # one row
     best_generation: int = -1
     weights: ch.FeatureWeights | None = None
 
@@ -282,11 +290,14 @@ class EvolutionState:
 
 def init_population(state: EvolutionState) -> None:
     rng = stream_rng(state.master_seed, _SEED_INIT)
-    state.population = []
-    for _ in range(state.population_size):
-        genome = rng.uniform(-state.init_range, state.init_range, state.spec.genome_length)
-        state.population.append(Individual(id=state.next_id, genome=genome))
-        state.next_id += 1
+    p = state.population_size
+    state.genomes = rng.uniform(
+        -state.init_range, state.init_range, (p, state.spec.genome_length)
+    )
+    state.ids = np.arange(state.next_id, state.next_id + p)
+    state.next_id += p
+    state.has_result = np.zeros(p, dtype=bool)
+    state.results = EvaluationResult.zeros(p, len(state.task.char_schema()), state.trials)
 
 
 def _uses_sdbc(method: str) -> bool:
@@ -297,35 +308,25 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
     """One full generation: evaluate, transform, score, rank, breed."""
     t0 = time.perf_counter()
     gen = state.generation
-    fresh = [
-        (idx, ind) for idx, ind in enumerate(state.population) if ind.result is None
-    ]
-    evaluations = len(fresh)
-    if fresh:
-        genomes = np.stack([ind.genome for _, ind in fresh])
-        seeds = [
-            trial_seeds(state.master_seed, gen, idx, state.trials) for idx, _ in fresh
-        ]
-        for (_, ind), result in zip(
-            fresh, evaluate_population(genomes, state.task, state.spec, seeds)
-        ):
-            ind.result = result
+    fresh = np.flatnonzero(~state.has_result)
+    if fresh.size:
+        seeds = [trial_seeds(state.master_seed, gen, int(i), state.trials) for i in fresh]
+        state.results.put(
+            fresh, evaluate_population(state.genomes[fresh], state.task, state.spec, seeds)
+        )
+        state.has_result[fresh] = True
 
-    fitness = np.array([ind.result.fitness for ind in state.population])
-    ids = np.array([ind.id for ind in state.population])
-    sdbc_raw = np.stack(
-        [ind.result.raw_characterisation.values for ind in state.population]
-    )
-    ts = np.stack([ind.result.ts_characterisation for ind in state.population])
+    ids = state.ids
+    fitness = state.results.fitness
+    sdbc_raw = state.results.raw
+    ts = state.results.ts
+    by_fitness = np.lexsort((ids, -fitness))
     transformed = None
     novelty_arr = None
     coeffs = None
 
     if state.method == "fit":
-        order = sorted(
-            range(len(state.population)),
-            key=lambda i: (-fitness[i], state.population[i].id),
-        )
+        order = by_fitness.tolist()
     else:
         if _uses_sdbc(state.method):
             selection_raw = sdbc_raw
@@ -354,13 +355,13 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
         novelty_arr = nov.novelty_scores(selection_chars, archive_view, state.novelty_k)
         scored = [
             nov.ScoredIndividual(
-                id=ind.id,
+                id=int(ids[i]),
                 fitness=float(fitness[i]),
                 characterisation=selection_chars[i],
                 novelty=float(novelty_arr[i]),
                 raw=selection_raw[i],
             )
-            for i, ind in enumerate(state.population)
+            for i in range(len(ids))
         ]
         order = nov.rank_population(scored)
         nov.update_archive(
@@ -371,11 +372,11 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
             gen,
         )
 
-    best_idx = int(np.lexsort((ids, -fitness))[0])
+    best_idx = int(by_fitness[0])
     if fitness[best_idx] > state.best_so_far:
         state.best_so_far = float(fitness[best_idx])
-        state.best_genome = state.population[best_idx].genome.copy()
-        state.best_result = state.population[best_idx].result
+        state.best_genome = state.genomes[best_idx].copy()
+        state.best_result = state.results[best_idx]
         state.best_generation = gen
 
     stats = GenerationStats(
@@ -385,7 +386,7 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
         best_id=int(ids[best_idx]),
         best_so_far=state.best_so_far,
         archive_size=len(state.archive),
-        evaluations=evaluations,
+        evaluations=len(fresh),
         wall_time=time.perf_counter() - t0,
     )
     detail = GenerationDetail(
@@ -400,25 +401,31 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
         order=order,
     )
 
-    # breed the next generation: elites pass through with their results
+    # breed the next generation: the elites' rows pass through with their
+    # results, and the children's rows follow with none
     rng = stream_rng(state.master_seed, _SEED_OPS, gen)
+    p, e = state.population_size, state.elites
+    elites = order[:e]
     rank_of = np.empty(len(order), dtype=int)
-    for pos, i in enumerate(order):
-        rank_of[i] = pos
-    next_pop = [state.population[i] for i in order[: state.elites]]
-    while len(next_pop) < state.population_size:
+    rank_of[order] = np.arange(len(order))
+    genomes = np.empty((p, state.spec.genome_length))
+    genomes[:e] = state.genomes[elites]
+    for row in range(e, p):
         parents = []
         for _ in range(2):
-            contenders = rng.integers(0, len(state.population), state.tournament_size)
+            contenders = rng.integers(0, len(order), state.tournament_size)
             winner = min(contenders, key=lambda i: rank_of[i])
-            parents.append(state.population[winner].genome)
+            parents.append(state.genomes[winner])
         if rng.random() < state.p_crossover:
             child = crossover(parents[0], parents[1], rng)
         else:
-            child = parents[0].copy()
-        child = mutate(child, rng, state.p_gene_mutation, state.mutation_sigma)
-        next_pop.append(Individual(id=state.next_id, genome=child))
-        state.next_id += 1
-    state.population = next_pop
+            child = parents[0]
+        genomes[row] = mutate(child, rng, state.p_gene_mutation, state.mutation_sigma)
+    results = EvaluationResult.zeros(p, sdbc_raw.shape[1], state.trials)
+    results.put(slice(0, e), state.results[elites])
+    state.genomes, state.results = genomes, results
+    state.ids = np.concatenate([ids[elites], np.arange(state.next_id, state.next_id + p - e)])
+    state.next_id += p - e
+    state.has_result = np.arange(p) < e
     state.generation += 1
     return stats, detail

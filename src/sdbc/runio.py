@@ -10,7 +10,8 @@ Layout of a run directory:
     features/          optional per-generation mu/sigma/MI/weight tables
     archive.csv        novelty archive contents with generation tags
     best_genome.txt    flat weights with a small header
-    checkpoint.npz     resumable state, refreshed periodically
+    checkpoint.npz     resumable state, refreshed periodically: the
+                       population's arrays as `EvolutionState` holds them
     done.json          completion marker with a summary
     error.txt          traceback of a failed run, until a later run succeeds
 
@@ -18,6 +19,12 @@ Every file is written through `_replace_file`: into a temporary file in
 the same directory that then replaces the old file, so a run that dies
 mid-write leaves the previous version whole, or no file at all.  The
 command line's trajectory and analysis files are written the same way.
+
+The checkpoint saves the population's arrays (`genomes`, `ids`,
+`has_result` and the `EvaluationResult` columns, zeros in rows that hold
+no result) under their own names, the best result's row under
+`best_`-prefixed names, and the archive, counters and MI weights;
+`restore_state` loads them back into the state unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Sequence
 
@@ -34,7 +42,7 @@ import yaml
 from . import characterisation as ch
 from . import novelty as nov
 from .config import ExperimentConfig
-from .evolution import EvaluationResult, EvolutionState, GenerationDetail, GenerationStats, Individual
+from .evolution import EvaluationResult, EvolutionState, GenerationDetail, GenerationStats
 
 GENERATION_COLUMNS = (
     "generation",
@@ -45,12 +53,6 @@ GENERATION_COLUMNS = (
     "archive_size",
     "evaluations",
 )
-
-# checkpoint arrays of the EvaluationResult fields, in the order of
-# `_result_from`'s arguments; the best result's carry a "best_" prefix
-# and its fitness is `best_so_far`
-RESULT_ARRAYS = ("fitness", "raw", "ts", "trial_fitness", "trial_seeds")
-
 
 def _fmt(x: Any) -> str:
     if isinstance(x, (float, np.floating)):
@@ -78,38 +80,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]])
         w.writerows(rows)
 
     _replace_file(path, write)
-
-
-def _pack_results(
-    results: list[EvaluationResult | None], n_char: int, trials: int
-) -> dict[str, np.ndarray]:
-    """The RESULT_ARRAYS of `results`, one row each, and `has_result`;
-    a missing result is a row of zeros."""
-    blank = (0.0, np.zeros(n_char), np.zeros(4), np.zeros(trials), [0] * trials)
-    rows = [
-        blank if r is None
-        else (r.fitness, r.raw_characterisation.values, r.ts_characterisation,
-              r.trial_fitness, r.trial_seeds)
-        for r in results
-    ]
-    arrays = {
-        name: np.array(column, dtype=np.int64 if name == "trial_seeds" else float)
-        for name, column in zip(RESULT_ARRAYS, zip(*rows))
-    }
-    return {"has_result": np.array([r is not None for r in results]), **arrays}
-
-
-def _result_from(
-    schema: tuple[str, ...], fitness, raw, ts, trial_fitness, trial_seeds
-) -> EvaluationResult:
-    """The result that one row of `_pack_results` holds."""
-    return EvaluationResult(
-        fitness=float(fitness),
-        raw_characterisation=ch.RawCharacterisation(values=raw, schema=schema),
-        ts_characterisation=ts,
-        trial_fitness=trial_fitness,
-        trial_seeds=[int(s) for s in trial_seeds],
-    )
 
 
 class RunWriter:
@@ -225,16 +195,18 @@ class RunWriter:
         _replace_file(self.dir / "best_genome.txt", lambda fh: fh.write(text))
 
     def write_checkpoint(self, state: EvolutionState) -> None:
-        pop = state.population
         n_char = len(state.task.char_schema())
-        best = _pack_results([state.best_result], n_char, state.trials)
+        best = state.best_result
+        if best is None:
+            best = EvaluationResult.zeros(1, n_char, state.trials)[0]
         arch = state.archive.raw_matrix()
         arrays = dict(
             generation=state.generation,
             next_id=state.next_id,
-            genomes=np.stack([ind.genome for ind in pop]),
-            ids=np.array([ind.id for ind in pop]),
-            **_pack_results([ind.result for ind in pop], n_char, state.trials),
+            genomes=state.genomes,
+            ids=state.ids,
+            has_result=state.has_result,
+            **vars(state.results),
             archive_raw=arch if arch.size else np.zeros((0, n_char)),
             archive_gens=np.array(state.archive.generations(), dtype=np.int64),
             best_so_far=state.best_so_far,
@@ -244,7 +216,7 @@ class RunWriter:
                 if state.best_genome is None
                 else state.best_genome
             ),
-            **{f"best_{name}": best[name][0] for name in RESULT_ARRAYS[1:]},
+            **{f"best_{name}": a for name, a in vars(best).items() if name != "fitness"},
             weights=state.weights.weights if state.weights is not None else np.zeros(0),
         )
         # an open handle, because np.savez appends ".npz" to a path name
@@ -264,17 +236,14 @@ class RunWriter:
 
 def restore_state(state: EvolutionState, run_dir: str | Path) -> None:
     """Load a checkpoint into a freshly constructed EvolutionState."""
-    schema = state.task.char_schema()
     with np.load(Path(run_dir) / "checkpoint.npz") as data:
         state.generation = int(data["generation"])
         state.next_id = int(data["next_id"])
-        results = zip(*(data[name] for name in RESULT_ARRAYS))
-        state.population = [
-            Individual(int(i), genome, _result_from(schema, *row) if has else None)
-            for i, genome, has, row in zip(
-                data["ids"], data["genomes"], data["has_result"], results
-            )
-        ]
+        state.genomes = data["genomes"]
+        state.ids = data["ids"]
+        state.has_result = data["has_result"]
+        names = [f.name for f in fields(EvaluationResult)]
+        state.results = EvaluationResult(**{name: data[name] for name in names})
         state.archive = nov.NoveltyArchive()
         for raw, gen in zip(data["archive_raw"], data["archive_gens"]):
             state.archive.add(raw, int(gen))
@@ -282,8 +251,9 @@ def restore_state(state: EvolutionState, run_dir: str | Path) -> None:
         state.best_generation = int(data["best_generation"])
         state.best_genome = data["best_genome"]
         if state.best_generation >= 0:
-            state.best_result = _result_from(
-                schema, data["best_so_far"], *(data[f"best_{name}"] for name in RESULT_ARRAYS[1:])
+            state.best_result = EvaluationResult(
+                fitness=data["best_so_far"],
+                **{name: data[f"best_{name}"] for name in names if name != "fitness"},
             )
         if data["weights"].size:
             state.weights = ch.FeatureWeights(weights=data["weights"], delta=state.delta)

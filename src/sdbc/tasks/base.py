@@ -94,11 +94,11 @@ class TrialBatch:
 class Task:
     """Base class; concrete tasks define groups, dynamics and fitness.
 
-    A concrete task provides `params` (with `dt`, `v_max`, `axle` and
-    `robot_radius`), names in `movers` the (B, N) state mask of robots
-    whose wheels act, and lists in `record_keys` the state fields that
-    `record=True` keeps.  These include every field `_groups` reads, so
-    `snapshot` can rebuild the group view of any recorded step.
+    A concrete task provides `params` (with `dt`, `v_max`, `axle`,
+    `robot_radius` and `max_steps`), names in `movers` the (B, N) state
+    mask of robots whose wheels act, and lists in `record_keys` the state
+    fields that `record=True` keeps.  These include every field `_groups`
+    reads, so `snapshot` can rebuild the group view of any recorded step.
     """
 
     name: str = ""
@@ -109,7 +109,7 @@ class Task:
 
     @property
     def max_steps(self) -> int:
-        raise NotImplementedError
+        return self.params.max_steps
 
     def group_specs(self) -> tuple[GroupSpec, ...]:
         raise NotImplementedError

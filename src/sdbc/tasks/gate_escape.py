@@ -39,9 +39,10 @@ class GateEscapeParams:
     published_layout: bool = True  # fold the gate-walls distance out of the schema
 
 
-def gate_fitness(g: int, t: int, tau: int, n: int) -> float:
-    """Escaped count plus normalised elapsed time, rescaled to [0, 1]."""
-    if not (0 <= g <= n and 0 <= t <= tau):
+def gate_fitness(g, t, tau: int, n: int) -> np.ndarray | float:
+    """Escaped count plus normalised elapsed time, rescaled to [0, 1];
+    elementwise over arrays of escaped counts and times."""
+    if np.any((g < 0) | (g > n) | (t < 0) | (t > tau)):
         raise ValueError("escaped count or time out of range")
     return (g + t / tau) / (1 + n)
 
@@ -49,7 +50,6 @@ def gate_fitness(g: int, t: int, tau: int, n: int) -> float:
 class GateEscapeTask(Task):
     name = "gate_escape"
     n_inputs = 6
-    n_outputs = 2
     movers = "active"
     record_keys = ("pos", "turn", "lin", "passing", "active", "closing", "heading", "wheels")
 
@@ -70,10 +70,6 @@ class GateEscapeTask(Task):
             ]
         )
         self.diagonal = math.hypot(s, s)
-
-    @property
-    def max_steps(self) -> int:
-        return self.params.max_steps
 
     def group_specs(self) -> tuple[GroupSpec, ...]:
         n = self.params.n_robots
@@ -184,7 +180,7 @@ class GateEscapeTask(Task):
 
     def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = self.params
-        fitness = (s.escaped + steps / p.max_steps) / (1.0 + p.n_robots)
+        fitness = gate_fitness(s.escaped, steps, p.max_steps, p.n_robots)
         # every trial counts each of its steps in the dispersion mean
         mean_gate = s.gate_sum / np.maximum(s.gate_count, 1)
         mean_disp = s.disp_sum / np.maximum(steps, 1)

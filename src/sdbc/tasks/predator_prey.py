@@ -33,15 +33,14 @@ class PredatorPreyParams:
     published_layout: bool = True  # prey group may empty, so its size is a feature
 
 
-def pursuit_fitness(
-    captured: bool, t: int, tau: int, d_i: float, d_f: float, size: float
-) -> float:
-    """2 - t/tau on capture, else the normalised closing of the mean distance."""
-    if d_i < 0 or d_f < 0 or size <= 0:
+def pursuit_fitness(captured, t, tau: int, d_i, d_f, size: float) -> np.ndarray | float:
+    """2 - t/tau on capture, else the normalised closing of the mean
+    distance; elementwise over arrays of trials."""
+    d_i, d_f = np.asarray(d_i), np.asarray(d_f)
+    if np.any(d_i < 0) or np.any(d_f < 0) or size <= 0:
         raise ValueError("distances must be non-negative and size positive")
-    if captured:
-        return 2.0 - t / tau
-    return max(d_i - d_f, 0.0) / size
+    fitness = np.where(captured, 2.0 - np.asarray(t) / tau, np.maximum(d_i - d_f, 0.0) / size)
+    return fitness if fitness.ndim else float(fitness)
 
 
 def prey_policy(
@@ -64,7 +63,6 @@ def prey_policy(
 class PredatorPreyTask(Task):
     name = "predator_prey"
     n_inputs = 6
-    n_outputs = 2
     movers = "active"  # every predator, for as long as its trial runs
     record_keys = (
         "pos", "turn", "lin", "prey", "prey_turn", "prey_lin", "present", "heading", "wheels",
@@ -78,10 +76,6 @@ class PredatorPreyTask(Task):
         offset = (np.arange(n) - (n - 1) / 2.0) * params.start_spacing
         self.start_pos = np.stack([offset, np.zeros(n)], axis=-1)
         self.start_heading = np.full(n, math.pi / 2.0)
-
-    @property
-    def max_steps(self) -> int:
-        return self.params.max_steps
 
     def group_specs(self) -> tuple[GroupSpec, ...]:
         p = self.params
@@ -192,10 +186,8 @@ class PredatorPreyTask(Task):
 
     def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = self.params
-        fitness = np.where(
-            s.captured,
-            2.0 - steps / p.max_steps,
-            np.maximum(s.d_initial - s.d_final, 0.0) / self.size,
+        fitness = pursuit_fitness(
+            s.captured, steps, p.max_steps, s.d_initial, s.d_final, self.size
         )
         # every trial counts each of its steps in the spread mean
         mean_spread = s.spread_sum / np.maximum(steps, 1)

@@ -39,9 +39,10 @@ class ResourceSharingParams:
     spawn_clearance: float = 0.0  # minimum spawn distance from the station
 
 
-def sharing_fitness(s: int, mean_energy: float, e_max: float, n: int) -> float:
-    """Survivor count plus normalised mean energy, rescaled to [0, 1]."""
-    if not (0 <= s <= n) or not (0.0 <= mean_energy <= e_max):
+def sharing_fitness(s, mean_energy, e_max: float, n: int) -> np.ndarray | float:
+    """Survivor count plus normalised mean energy, rescaled to [0, 1];
+    elementwise over arrays of survivors and mean energies."""
+    if np.any((s < 0) | (s > n)) or np.any((mean_energy < 0.0) | (mean_energy > e_max)):
         raise ValueError("survivors or mean energy out of range")
     return (s + mean_energy / e_max) / (1 + n)
 
@@ -49,23 +50,21 @@ def sharing_fitness(s: int, mean_energy: float, e_max: float, n: int) -> float:
 class ResourceSharingTask(Task):
     name = "resource_sharing"
     n_inputs = 6
-    n_outputs = 2
     movers = "alive"
     record_keys = (
         "pos", "turn", "lin", "energy", "charging", "alive", "occupied", "heading", "wheels",
     )
 
     def __init__(self, params: ResourceSharingParams = ResourceSharingParams()):
+        # a fuller start would take the mean energy, and fitness, out of range
+        if not 0.0 <= params.start_energy <= params.e_max:
+            raise ValueError("start_energy must be in [0, e_max]")
         self.params = params
         s = params.arena_size
         self.station = (s / 2.0, s / 2.0)
         # largest possible distance from the station, for the TS vector
         corners = [(0, 0), (s, 0), (0, s), (s, s)]
         self.station_reach = max(math.hypot(c[0] - self.station[0], c[1] - self.station[1]) for c in corners)
-
-    @property
-    def max_steps(self) -> int:
-        return self.params.max_steps
 
     def group_specs(self) -> tuple[GroupSpec, ...]:
         n = self.params.n_robots
@@ -204,7 +203,7 @@ class ResourceSharingTask(Task):
         # holds each trial's survivors
         survivors = s.alive.sum(axis=1)
         mean_energy = s.energy_integral / (n * p.max_steps)
-        fitness = (survivors + mean_energy / p.e_max) / (1.0 + n)
+        fitness = sharing_fitness(survivors, mean_energy, p.e_max, n)
         mean_station = s.station_sum / np.maximum(s.station_count, 1)
         ts = np.stack(
             [

@@ -1,0 +1,61 @@
+"""The program names that the benchmark in perfbench/ reads.
+
+`perfbench/child.py` times each layer by wrapping functions and methods
+by name, looked up in their owner's own namespace, and checks a finished
+run by replaying its best genome through `evaluate`.  A rename or a new
+return type there would make a traced layer read zero, or fail the
+benchmark, without any other test noticing.
+"""
+
+import numpy as np
+import pytest
+
+from sdbc import characterisation, cli, evolution, novelty, runio
+from sdbc.evolution import ControllerSpec, evaluate
+from sdbc.tasks import make_task
+
+WRAPPED = [
+    (evolution, "run_generation"),
+    (evolution, "evaluate_population"),
+    (evolution, "mutate"),
+    (evolution, "crossover"),
+    (evolution, "trial_seeds"),
+    (evolution.StackedControllers, "__call__"),
+    (characterisation, "aggregate_batch"),
+    (characterisation, "compute_standardisation"),
+    (characterisation, "apply_standardisation"),
+    (characterisation, "compute_weights"),
+    (novelty, "novelty_scores"),
+    (novelty, "rank_population"),
+    *(
+        (runio.RunWriter, name)
+        for name in (
+            "append_generation", "dump_population", "dump_feature_stats",
+            "write_checkpoint", "write_archive", "write_best_genome", "mark_done",
+        )
+    ),
+    # called, not wrapped
+    (cli, "execute_run"),
+    (runio, "load_genome_file"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,name", WRAPPED,
+    ids=[f"{getattr(o, '__qualname__', o.__name__)}.{n}" for o, n in WRAPPED],
+)
+def test_wrapped_name_exists_in_its_owner(owner, name):
+    assert callable(vars(owner).get(name))
+
+
+def test_evaluate_returns_what_the_replay_check_reads():
+    task = make_task("resource_sharing", {"max_steps": 30, "n_robots": 3})
+    # positional, as the replay check builds it from a genome file's header
+    spec = ControllerSpec(task.n_inputs, 4, task.n_outputs)
+    genome = np.random.default_rng(1).uniform(-1, 1, spec.genome_length)
+    result = evaluate(genome, task, spec, [5, 6, 7])
+    assert isinstance(result.fitness, float)
+    assert result.trial_fitness.ndim == 1
+    logged = result.trial_fitness.tolist()
+    assert len(logged) == 3 and all(type(f) is float for f in logged)
+    assert result.fitness == float(np.mean(logged))

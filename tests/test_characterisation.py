@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from sdbc.characterisation import (
     FeatureWeights,
-    RawCharacterisation,
     aggregate,
     apply_standardisation,
     apply_weights,
@@ -31,30 +30,24 @@ def snap(*values):
     return FeatureSnapshot(values=tuple(values), schema=SCHEMA3)
 
 
-def raw(values, n_features=3):
-    names = tuple(f"f{i}" for i in range(n_features))
-    return RawCharacterisation(
-        values=np.asarray(values, dtype=float), schema=characterisation_schema(names)
-    )
-
-
 class TestAggregate:
     def test_layout_and_length(self):
         out = aggregate([snap(1, 2, 3), snap(3, 4, 5)], steps_elapsed=50, max_steps=100)
-        assert len(out.values) == 7
-        assert out.values == pytest.approx([2, 3, 4, 3, 4, 5, 0.5], abs=1e-12)
-        assert out.schema[:3] == ("f0 (M)", "f1 (M)", "f2 (M)")
-        assert out.schema[3:6] == ("f0 (F)", "f1 (F)", "f2 (F)")
-        assert out.schema[6] == "simulation length"
+        assert len(out) == 7
+        assert out == pytest.approx([2, 3, 4, 3, 4, 5, 0.5], abs=1e-12)
+        schema = characterisation_schema(SCHEMA3)
+        assert schema[:3] == ("f0 (M)", "f1 (M)", "f2 (M)")
+        assert schema[3:6] == ("f0 (F)", "f1 (F)", "f2 (F)")
+        assert schema[6] == "simulation length"
 
     def test_single_snapshot_mean_equals_final(self):
         out = aggregate([snap(0.3, -1, 4)], steps_elapsed=1, max_steps=10)
-        assert tuple(out.values[:3]) == tuple(out.values[3:6])
+        assert tuple(out[:3]) == tuple(out[3:6])
 
     def test_constant_feature(self):
         out = aggregate([snap(7, 7, 7)] * 100, steps_elapsed=100, max_steps=100)
-        assert out.values[:6] == pytest.approx([7] * 6, abs=1e-12)
-        assert out.values[6] == 1.0
+        assert out[:6] == pytest.approx([7] * 6, abs=1e-12)
+        assert out[6] == 1.0
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -82,12 +75,12 @@ class TestAggregate:
                     for s in range(steps)
                 ]
                 expected = aggregate(samples, int(steps), task.max_steps)
-                assert batch.raw[i] == pytest.approx(expected.values, abs=1e-12), (name, i)
+                assert batch.raw[i] == pytest.approx(expected, abs=1e-12), (name, i)
 
 
 class TestStandardisation:
     def test_identical_population_zero_sigma(self):
-        pop = [raw([1, 2, 3, 4, 5, 6, 0.5])] * 8
+        pop = np.array([[1, 2, 3, 4, 5, 6, 0.5]] * 8)
         c = compute_standardisation(pop)
         assert c.sigma == pytest.approx(np.zeros(7), abs=1e-12)
 

@@ -105,11 +105,13 @@ class TestConfig:
             ("resource_sharing", {"n_robots": 0}, "'agents'"),
             ("gate_escape", {"n_robots": 0}, "'agents'"),
             ("predator_prey", {"n_predators": 0}, "'predators'"),
+            ("resource_sharing", {"start_energy": 150.0}, r"start_energy must be in \[0, e_max\]"),
         ],
     )
     def test_task_params_without_steps_or_robots_rejected(self, task, params, reason):
         # zero steps made fitness 0/0 and broke the record; zero robots
-        # leave a group below its declared size bounds
+        # leave a group below its declared size bounds; a tank fuller than
+        # e_max fails the fitness range check at the first evaluation
         with pytest.raises(ConfigError, match=f"task_params: .*{reason}"):
             config_from_dict({"task": task, "task_params": params})
 
@@ -215,10 +217,11 @@ class TestRun:
         assert not out.exists()
 
     def test_resume_continues_to_identical_logs(self, tmp_path):
-        cfg_path = write_config(tmp_path)
+        # both sides share `out`, so every run file but timing.csv must
+        # match: checkpoint arrays, archive, best genome and the dumps
+        cfg_path = write_config(tmp_path, dump_population=True)
         full = load_config(cfg_path)
         full.ga.generations = 5
-        full.out = str(tmp_path / "full")
         execute_run(full, tmp_path / "full/run_000")
 
         half = load_config(cfg_path)
@@ -232,6 +235,41 @@ class TestRun:
         a = (tmp_path / "full/run_000/generations.csv").read_bytes()
         b = (tmp_path / "resumed/run_000/generations.csv").read_bytes()
         assert a == b
+        digests = file_digests(tmp_path / "full/run_000")
+        assert any(name.startswith("population/") for name in digests)
+        assert digests == file_digests(tmp_path / "resumed/run_000")
+
+    @pytest.mark.parametrize(
+        "overrides,flags,field",
+        [({}, ["--seed", "10"], "seed"), ({"ga.trials": 3}, [], "ga.trials")],
+        ids=["seed", "trials"],
+    )
+    def test_resume_refuses_a_changed_config(
+        self, tmp_path, capsys, monkeypatch, overrides, flags, field
+    ):
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, {"ga.generations": 2})
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        run = out / "run_000"
+        (run / "done.json").unlink()
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        capsys.readouterr()
+
+        cfg_path = write_config(tmp_path, {"ga.generations": 3, **overrides})
+        assert main([
+            "run", "--config", str(cfg_path), "--out", str(out), "--resume", *flags
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run}: cannot resume with another {field}: ")
+        assert err.count("\n") == 1
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+        # the same directory under another `out`, and more generations,
+        # extend the run
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, {"ga.generations": 3})
+        assert main(["run", "--config", str(cfg_path), "--out", "o", "--resume"]) == 0
+        assert [row["generation"] for row in read_generations(run)] == [0, 1, 2]
 
     def test_crash_during_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, {"ga.generations": 5}, checkpoint_every=2)

@@ -42,6 +42,17 @@ def small_state(method="fit", seed=11, pop=8, **kwargs):
     return state
 
 
+def trial_raw(genomes, task, spec, seeds):
+    """(K, trials, 2F+1): the raw characterisation of every trial of each
+    genome, from one stacked batch as `evaluate_population` runs it."""
+    k, trials = len(genomes), len(seeds[0])
+    batch = task.simulate(
+        StackedControllers(genomes, spec), [s for row in seeds for s in row],
+        networks=np.repeat(np.arange(k), trials),
+    )
+    return batch.raw.reshape(k, trials, -1)
+
+
 class TestController:
     def test_genome_length_formula(self):
         assert SPEC.genome_length == (3 + 1) * 4 + (4 + 1) * 2
@@ -75,11 +86,6 @@ class TestController:
             o = 1.0 / (1.0 + np.exp(-(w2 @ h)))
             expected = -1.0 + 2.0 * o
             assert ctrl(x[i : i + 1])[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_act_single_tuple(self):
-        ctrl = build_controller(np.zeros(SPEC.genome_length), SPEC)
-        out = ctrl.act((0.1, 0.2, 0.3))
-        assert len(out) == 2
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -217,10 +223,8 @@ class TestEvaluate:
         r1 = evaluate(g, task, spec, [5, 6, 7])
         r2 = evaluate(g, task, spec, [5, 6, 7])
         assert r1.fitness == r2.fitness
-        assert np.array_equal(
-            r1.raw_characterisation.values, r2.raw_characterisation.values
-        )
-        assert np.array_equal(r1.ts_characterisation, r2.ts_characterisation)
+        assert np.array_equal(r1.raw, r2.raw)
+        assert np.array_equal(r1.ts, r2.ts)
 
     def test_population_evaluation_matches_singles(self):
         task = small_task()
@@ -232,10 +236,7 @@ class TestEvaluate:
         for k in range(4):
             single = evaluate(genomes[k], task, spec, seeds[k])
             assert single.fitness == stacked[k].fitness
-            assert np.array_equal(
-                single.raw_characterisation.values,
-                stacked[k].raw_characterisation.values,
-            )
+            assert np.array_equal(single.raw, stacked[k].raw)
 
     @pytest.mark.parametrize(
         "name, params",
@@ -256,7 +257,10 @@ class TestEvaluate:
         for k in range(12):
             single = evaluate(genomes[k], task, spec, seeds[k])
             assert np.array_equal(single.trial_fitness, stacked[k].trial_fitness), k
-            assert np.array_equal(single.trial_raw, stacked[k].trial_raw), k
+            assert np.array_equal(
+                trial_raw(genomes[k : k + 1], task, spec, seeds[k : k + 1])[0],
+                trial_raw(genomes, task, spec, seeds)[k],
+            ), k
 
     @pytest.mark.parametrize("name", ["resource_sharing", "gate_escape", "predator_prey"])
     def test_peak_memory_stays_near_the_feature_array(self, name):
@@ -285,8 +289,9 @@ class TestEvaluate:
         spec = ControllerSpec(task.n_inputs, 4, task.n_outputs)
         g = np.random.default_rng(15).uniform(-1, 1, spec.genome_length)
         res = evaluate(g, task, spec, [77, 77, 77])
-        assert (res.trial_raw == res.trial_raw[0]).all()
-        assert res.raw_characterisation.values == pytest.approx(res.trial_raw[0], abs=1e-12)
+        raw = trial_raw(g[None, :], task, spec, [[77, 77, 77]])[0]
+        assert (raw == raw[0]).all()
+        assert res.raw == pytest.approx(raw[0], abs=1e-12)
         assert res.fitness == pytest.approx(res.trial_fitness[0], abs=1e-12)
 
     def test_trial_mean_matches_brute_force(self):
@@ -295,18 +300,18 @@ class TestEvaluate:
         rng = np.random.default_rng(16)
         genomes = rng.uniform(-1, 1, (3, spec.genome_length))
         seeds = [[int(s) for s in rng.integers(0, 2**31, 5)] for _ in range(3)]
-        for res in evaluate_population(genomes, task, spec, seeds):
-            assert res.trial_raw.shape == (5, len(task.char_schema()))
-            for k in range(res.trial_raw.shape[1]):
+        results = evaluate_population(genomes, task, spec, seeds)
+        raws = trial_raw(genomes, task, spec, seeds)
+        for res, raw in ((results[k], raws[k]) for k in range(3)):
+            assert raw.shape == (5, len(task.char_schema()))
+            for k in range(raw.shape[1]):
                 total = 0.0
                 for i in range(5):
-                    total += res.trial_raw[i, k]
-                assert res.raw_characterisation.values[k] == pytest.approx(total / 5, abs=1e-12)
+                    total += raw[i, k]
+                assert res.raw[k] == pytest.approx(total / 5, abs=1e-12)
             assert res.fitness == pytest.approx(sum(res.trial_fitness) / 5, abs=1e-12)
             # the per-trial average this replaced, bit for bit
-            assert np.array_equal(
-                res.raw_characterisation.values, np.mean(list(res.trial_raw), axis=0)
-            )
+            assert np.array_equal(res.raw, np.mean(list(raw), axis=0))
             assert res.fitness == float(np.mean(res.trial_fitness))
 
     def test_needs_a_trial(self):
@@ -321,24 +326,24 @@ class TestRunGeneration:
         state = small_state("ns-sd")
         for _ in range(3):
             run_generation(state)
-            assert len(state.population) == 8
+            assert state.genomes.shape == (8, state.spec.genome_length)
+            assert len(state.ids) == len(state.has_result) == len(state.results.fitness) == 8
 
     def test_offspring_plus_elites(self):
         state = small_state("fit")
-        before = {ind.id for ind in state.population}
+        before = state.ids.copy()
         stats, _ = run_generation(state)
-        after = state.population
-        carried = [ind for ind in after if ind.id in before]
-        assert len(carried) == state.elites
-        assert all(ind.result is not None for ind in carried)
+        carried = np.isin(state.ids, before)
+        assert carried.sum() == state.elites
+        assert np.array_equal(state.has_result, carried)
 
     def test_full_elitism_freezes_population(self):
         state = small_state("fit", pop=6)
         state.elites = 6
-        ids0 = {ind.id for ind in state.population}
+        ids0 = set(state.ids.tolist())
         for _ in range(3):
             run_generation(state)
-        assert {ind.id for ind in state.population} == ids0
+        assert set(state.ids.tolist()) == ids0
 
     def test_best_so_far_monotone_under_elitism(self):
         state = small_state("ns-sd+", pop=10)
@@ -403,5 +408,4 @@ class TestRunGeneration:
         state = small_state("fit", seed=seed, pop=6)
         for _ in range(2):
             run_generation(state)
-        for ind in state.population:
-            assert np.all(np.abs(ind.genome) <= 10.0)
+        assert np.all(np.abs(state.genomes) <= 10.0)
