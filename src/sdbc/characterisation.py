@@ -6,9 +6,8 @@ raw characterisations define z-score coefficients, feature weights are the
 mutual information between each component and fitness plus a floor, and
 behaviour distance is the Euclidean distance between transformed vectors.
 
-`aggregate` is the formal definition over a trial's feature samples.  The
-simulation loop keeps only each trial's running feature total and last
-row, and `aggregate_batch` lays those out the same way.
+The simulation loop keeps only each trial's running feature total and
+last row, and `aggregate_batch` turns those into the raw characterisation.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .formalism import FeatureSnapshot
 
 
 @dataclass(frozen=True)
@@ -46,31 +43,12 @@ def characterisation_schema(feature_names: Sequence[str]) -> tuple[str, ...]:
     return means + finals + ("simulation length",)
 
 
-def aggregate(
-    samples: Sequence[FeatureSnapshot], steps_elapsed: int, max_steps: int
-) -> np.ndarray:
-    """Collapse a trial's feature samples into one raw characterisation.
-
-    The vector is the per-feature mean over all samples, then the final
-    sample, then the normalised trial duration; its components are named
-    by `characterisation_schema` of the samples' schema.
-    """
-    if not samples:
-        raise ValueError("cannot aggregate zero feature samples")
-    if not (1 <= steps_elapsed <= max_steps):
-        raise ValueError("steps_elapsed must be in [1, max_steps]")
-    schema = samples[0].schema
-    for s in samples[1:]:
-        if s.schema != schema:
-            raise ValueError("feature samples disagree on schema")
-    mat = np.array([s.values for s in samples], dtype=float)
-    return np.concatenate([mat.mean(axis=0), mat[-1], [steps_elapsed / max_steps]])
-
-
 def aggregate_batch(
     total: np.ndarray, final: np.ndarray, steps: np.ndarray, max_steps: int
 ) -> np.ndarray:
-    """Vectorised `aggregate` over a batch of trials.
+    """Raw characterisations of a batch of trials: per trial, the mean of
+    its per-step features, then its final features, then its elapsed
+    steps / `max_steps`; components are named by `characterisation_schema`.
 
     `total` (B, F) is the sum of each trial's per-step features in step
     order, `final` (B, F) its last feature row and `steps` (B,) its elapsed

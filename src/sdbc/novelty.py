@@ -7,8 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .characterisation import behaviour_distance
-
 
 @dataclass
 class ScoredIndividual:
@@ -43,38 +41,13 @@ class NoveltyArchive:
         return [e[1] for e in self.entries]
 
 
-def novelty_score(
-    target: ScoredIndividual,
-    population: Sequence[ScoredIndividual],
-    archive_view: Sequence[np.ndarray],
-    k: int,
-) -> float:
-    """Mean behaviour distance from `target` to its k nearest neighbours.
-
-    Neighbour candidates are the rest of the population plus the archive
-    view; a pool smaller than k is averaged whole.  The target itself is
-    excluded, clones of it are not.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dists = [
-        behaviour_distance(target.characterisation, other.characterisation)
-        for other in population
-        if other is not target
-    ]
-    dists += [behaviour_distance(target.characterisation, c) for c in archive_view]
-    if not dists:
-        raise ValueError("empty neighbour pool")
-    dists.sort()
-    return float(np.mean(dists[:k]))
-
-
 def novelty_scores(chars: np.ndarray, archive_view: np.ndarray, k: int) -> np.ndarray:
     """Vectorised novelty for a whole population at once.
 
-    `chars` is (P, L); `archive_view` is (A, L) or empty.  Row i scores
-    individual i against all other rows plus the archive, matching
-    `novelty_score` applied individually.
+    `chars` is (P, L); `archive_view` is (A, L) or empty.  Row i is the
+    mean behaviour distance from individual i to its k nearest neighbours
+    among all other rows plus the archive; a pool smaller than k is
+    averaged whole.  Clones of row i count as neighbours.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

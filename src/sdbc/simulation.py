@@ -1,14 +1,14 @@
 """Deterministic fixed-timestep 2D kinematics for differential-drive robots.
 
-All state updates are pure array transforms over a batch axis so that many
-trials advance in lockstep; the scalar entry points wrap the batched code
-with singleton arrays, which keeps the two paths identical by construction.
+Each primitive (the kinematics step, collision resolution, range/bearing
+sensing) has one implementation, a pure array transform over a batch axis
+so that many trials advance in lockstep; one robot is a one-row batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,33 +22,15 @@ def normalize_angle(a: np.ndarray | float) -> np.ndarray | float:
 
 
 @dataclass(frozen=True)
-class RobotBody:
-    """Pose plus wheel commands of one differential-drive robot."""
-
-    x: float
-    y: float
-    heading: float
-    radius: float
-    left: float = 0.0
-    right: float = 0.0
-
-
-@dataclass(frozen=True)
 class Arena:
-    """Wall segments (x1, y1, x2, y2) and the enclosing bounding box."""
+    """Wall segments (x1, y1, x2, y2)."""
 
     walls: tuple[tuple[float, float, float, float], ...]
-    bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
     def wall_array(self) -> np.ndarray:
         if not self.walls:
             return np.empty((0, 4))
         return np.asarray(self.walls, dtype=float)
-
-    @property
-    def diagonal(self) -> float:
-        xmin, ymin, xmax, ymax = self.bounds
-        return math.hypot(xmax - xmin, ymax - ymin)
 
 
 def step_kinematics_arrays(
@@ -60,8 +42,9 @@ def step_kinematics_arrays(
     dt: float,
     v_max: float,
     axle: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One differential-drive step for arrays of robots.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One differential-drive step for arrays of robots: the new x, y and
+    heading, and the step's linear and angular speeds.
 
     Linear speed is v_max*(l+r)/2 and angular speed v_max*(r-l)/axle; the
     translation uses the mid-step heading, which is exact for constant
@@ -72,24 +55,7 @@ def step_kinematics_arrays(
     mid = heading + 0.5 * ang * dt
     nx = x + lin * dt * np.cos(mid)
     ny = y + lin * dt * np.sin(mid)
-    return nx, ny, normalize_angle(heading + ang * dt)
-
-
-def step_kinematics(body: RobotBody, dt: float, v_max: float, axle: float) -> RobotBody:
-    """Scalar wrapper over the array kinematics update."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x, y, h = step_kinematics_arrays(
-        np.array([body.x]),
-        np.array([body.y]),
-        np.array([body.heading]),
-        np.array([body.left]),
-        np.array([body.right]),
-        dt,
-        v_max,
-        axle,
-    )
-    return replace(body, x=float(x[0]), y=float(y[0]), heading=float(h[0]))
+    return nx, ny, normalize_angle(heading + ang * dt), lin, ang
 
 
 def _segment_closest_points(pos: np.ndarray, walls: np.ndarray) -> np.ndarray:
@@ -188,19 +154,6 @@ def resolve_collisions_arrays(
     return out
 
 
-def resolve_collisions(bodies: list[RobotBody], arena: Arena) -> list[RobotBody]:
-    """Scalar wrapper: resolve one set of robots against an arena."""
-    if not bodies:
-        return []
-    pos = np.array([[(b.x, b.y) for b in bodies]], dtype=float)
-    active = np.ones((1, len(bodies)), dtype=bool)
-    out = resolve_collisions_arrays(pos, bodies[0].radius, active, arena.wall_array())
-    return [
-        replace(b, x=float(out[0, i, 0]), y=float(out[0, i, 1]))
-        for i, b in enumerate(bodies)
-    ]
-
-
 def range_bearing_arrays(
     ox: np.ndarray,
     oy: np.ndarray,
@@ -218,30 +171,7 @@ def range_bearing_arrays(
     return dist / max_range, bearing, sensed
 
 
-def sense_range_bearing(
-    observer: RobotBody, target: tuple[float, float], max_range: float
-) -> tuple[float, float] | None:
-    """Normalised range in [0, 1] and bearing in [-pi, pi), or None if out
-    of range."""
-    if max_range <= 0:
-        raise ValueError("max_range must be positive")
-    r, b, sensed = range_bearing_arrays(
-        np.array([observer.x]),
-        np.array([observer.y]),
-        np.array([observer.heading]),
-        np.array([target[0]]),
-        np.array([target[1]]),
-        max_range,
-    )
-    if not sensed[0]:
-        return None
-    return float(r[0]), float(b[0])
-
-
 def square_arena(size: float) -> Arena:
     """A closed square arena with corners at (0, 0) and (size, size)."""
     s = size
-    return Arena(
-        walls=((0, 0, s, 0), (s, 0, s, s), (s, s, 0, s), (0, s, 0, 0)),
-        bounds=(0.0, 0.0, s, s),
-    )
+    return Arena(((0, 0, s, 0), (s, 0, s, s), (s, s, 0, s), (0, s, 0, 0)))

@@ -33,7 +33,8 @@ by hand and the fast path can be checked against the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from itertools import combinations
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -71,6 +72,8 @@ GroupView = tuple[
 ]
 
 _NO_WALLS = np.empty((0, 4))
+# task parameters that must be > 0, besides every `*_sense` range
+_POSITIVE = ("dt", "axle", "v_max", "robot_radius", "arena_size", "zone_radius", "e_max")
 
 
 @dataclass
@@ -94,7 +97,7 @@ class TrialBatch:
 class Task:
     """Base class; concrete tasks define groups, dynamics and fitness.
 
-    A concrete task provides `params` (with `dt`, `v_max`, `axle`,
+    A concrete task is built from its `params` (with `dt`, `v_max`, `axle`,
     `robot_radius` and `max_steps`), names in `movers` the (B, N) state
     mask of robots whose wheels act, and lists in `record_keys` the state
     fields that `record=True` keeps.  These include every field `_groups`
@@ -106,6 +109,15 @@ class Task:
     n_outputs: int = 2
     movers: str = ""
     record_keys: tuple[str, ...] = ()
+
+    def __init__(self, params) -> None:
+        # a zero length, speed, time step, sensor range or tank gives NaN
+        # positions or fitness, or fails mid-run
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if (f.name in _POSITIVE or f.name.endswith("_sense")) and not value > 0:
+                raise ValueError(f"{f.name} must be > 0, got {value}")
+        self.params = params
 
     @property
     def max_steps(self) -> int:
@@ -156,7 +168,6 @@ class Task:
         s.feature_row = np.zeros((b, n_features))  # each live trial's last feature row
         s.feature_total = np.zeros((b, n_features))  # and the sum of its rows so far
         live = np.arange(b)
-        rows = live[:, None]
         steps = np.full(b, tau)
         final: dict[str, np.ndarray] = {}
         frames: list[tuple[np.ndarray, dict]] = []
@@ -168,21 +179,19 @@ class Task:
                 final[key][trials] = value[local]
 
         for t in range(tau):
-            x = self._sensors(s, rows).reshape(-1, self.n_inputs)
+            x = self._sensors(s).reshape(-1, self.n_inputs)
             wheels = controller(x) if networks is None else controller(x, s.network.ravel())
             move = getattr(s, self.movers)
             s.wheels = wheels.reshape(len(live), n, self.n_outputs) * move[..., None]
-            left, right = s.wheels[..., 0], s.wheels[..., 1]
-            nx, ny, s.heading = step_kinematics_arrays(
-                s.pos[..., 0], s.pos[..., 1], s.heading, left, right, p.dt, p.v_max, p.axle,
+            nx, ny, s.heading, s.lin, s.turn = step_kinematics_arrays(
+                s.pos[..., 0], s.pos[..., 1], s.heading, s.wheels[..., 0], s.wheels[..., 1],
+                p.dt, p.v_max, p.axle,
             )
             s.pos = resolve_collisions_arrays(
                 np.stack([nx, ny], axis=-1), p.robot_radius, move, _NO_WALLS, max_passes=4
             )
             s.pos = self._constrain(s, t, move)
             s.dist = pairwise_distances(s.pos[..., 0], s.pos[..., 1])
-            s.turn = p.v_max * (right - left) / p.axle
-            s.lin = p.v_max * (left + right) / 2.0
             ending = self._step(s, t, move)
             write_features(s.feature_row, self._groups(s), specs, excluded)
             s.feature_total += s.feature_row
@@ -193,7 +202,7 @@ class Task:
                 steps[live[ending]] = t + 1
                 store(live[ending], ending)
                 keep = ~ending
-                live, rows = live[keep], rows[: keep.sum()]
+                live = live[keep]
                 s = SimpleNamespace(**{k: v[keep] for k, v in vars(s).items()})
                 if not live.size:
                     break
@@ -221,9 +230,9 @@ class Task:
         of robots that moved.  The default leaves `s.pos` as it is."""
         return s.pos
 
-    def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
-        """(B, N, n_inputs) sensor readings; `rows` is arange(B)[:, None].
-        `s.dist` holds the distances between the current positions."""
+    def _sensors(self, s: SimpleNamespace) -> np.ndarray:
+        """(B, N, n_inputs) sensor readings; `s.dist` holds the distances
+        between the current positions."""
         raise NotImplementedError
 
     def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:
@@ -423,25 +432,35 @@ def nearest_neighbor_sensor(
     dist: np.ndarray,
     mask: np.ndarray,
     sense_range: float,
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Range/bearing to each robot's nearest masked peer.
+    slots: int,
+) -> np.ndarray:
+    """Range/bearing to each robot's `slots` nearest masked peers, nearest
+    first: a (B, N, 2 * slots) array of (range, bearing) column pairs.
 
     `dist` is the (B, N, N) `pairwise_distances` of `pos`; it is not
     modified.  Out-of-range or absent peers read as range 1, bearing 0.
-    `rows` is a cached arange(B)[:, None] index for the batch axis.
+    Equal distances go to the lower peer index.
     """
+    b, n = pos.shape[:2]
     dist = np.where(mask[:, None, :] & mask[:, :, None], dist, np.inf)
     np.einsum("bii->bi", dist)[:] = np.inf
-    nearest = dist.argmin(axis=2)
-    nd = dist[rows, np.arange(pos.shape[1])[None, :], nearest]
-    sensed = np.isfinite(nd) & (nd <= sense_range)
-    tx = pos[..., 0][rows, nearest]
-    ty = pos[..., 1][rows, nearest]
-    bearing = normalize_angle(np.arctan2(ty - pos[..., 1], tx - pos[..., 0]) - heading)
-    rng_col = np.where(sensed, nd / sense_range, 1.0)
-    bear_col = np.where(sensed, bearing / np.pi, 0.0)
-    return rng_col, bear_col
+    # flat indices: one-axis gathers cost a fraction of (B, N) fancy indexing
+    flat = dist.reshape(-1)
+    own = np.arange(b * n)
+    first = own - own % n  # robot 0 of each robot's trial
+    x, y, h = pos[..., 0].ravel(), pos[..., 1].ravel(), heading.ravel()
+    out = np.empty((b * n, 2 * slots))
+    for k in range(slots):
+        nearest = dist.argmin(axis=2).ravel()
+        at = own * n + nearest
+        nd = flat[at]
+        flat[at] = np.inf  # the chosen peer leaves the next slot's candidates
+        peer = first + nearest
+        sensed = np.isfinite(nd) & (nd <= sense_range)
+        bearing = normalize_angle(np.arctan2(y[peer] - y, x[peer] - x) - h)
+        out[:, 2 * k] = np.where(sensed, nd / sense_range, 1.0)
+        out[:, 2 * k + 1] = np.where(sensed, bearing / np.pi, 0.0)
+    return out.reshape(b, n, 2 * slots)
 
 
 def random_positions(
@@ -463,3 +482,33 @@ def random_positions(
             p = rng.uniform(low, high)  # crowded box: accept overlap
         placed[k] = p
     return placed
+
+
+def spawn_in_box(
+    seeds: Sequence[int],
+    n: int,
+    size: float,
+    radius: float,
+    keep_out: tuple[float, float],
+    clearance: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, n, 2) start positions and (B, n) headings, one trial per seed.
+
+    Each trial's robots are placed apart by `random_positions` inside the
+    (size x size) box, a margin off its walls; a robot closer than
+    `clearance` to the point `keep_out` is then redrawn until it is not;
+    the headings are drawn last, from the same generator.
+    """
+    margin = radius + 0.01
+    low, high = (margin, margin), (size - margin, size - margin)
+    pos = np.empty((len(seeds), n, 2))
+    heading = np.empty((len(seeds), n))
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        pos[b] = random_positions(rng, n, low, high, 2.2 * radius)
+        if clearance > 0.0:  # skips the per-robot distance checks when nothing is kept out
+            for i in range(n):
+                while np.hypot(*(pos[b, i] - keep_out)) < clearance:
+                    pos[b, i] = rng.uniform(low, high)
+        heading[b] = rng.uniform(-math.pi, math.pi, n)
+    return pos, heading

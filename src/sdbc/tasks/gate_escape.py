@@ -18,7 +18,7 @@ from .base import (
     Task,
     masked_mean,
     nearest_neighbor_sensor,
-    random_positions,
+    spawn_in_box,
 )
 
 
@@ -54,7 +54,7 @@ class GateEscapeTask(Task):
     record_keys = ("pos", "turn", "lin", "passing", "active", "closing", "heading", "wheels")
 
     def __init__(self, params: GateEscapeParams = GateEscapeParams()):
-        self.params = params
+        super().__init__(params)
         s = params.arena_size
         half = params.gate_width / 2.0
         self.gate_center = (s / 2.0, s)
@@ -87,26 +87,11 @@ class GateEscapeTask(Task):
             return frozenset({frozenset({"gate", "walls"})})
         return frozenset()
 
-    def _initial_state(self, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        p = self.params
-        margin = p.robot_radius + 0.01
-        pos = np.empty((len(seeds), p.n_robots, 2))
-        heading = np.empty((len(seeds), p.n_robots))
-        for b, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            pos[b] = random_positions(
-                rng,
-                p.n_robots,
-                (margin, margin),
-                (p.arena_size - margin, p.arena_size - margin),
-                2.2 * p.robot_radius,
-            )
-            heading[b] = rng.uniform(-math.pi, math.pi, p.n_robots)
-        return pos, heading
-
     def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
-        b, n = len(seeds), self.params.n_robots
-        pos, heading = self._initial_state(seeds)
+        p = self.params
+        b, n = len(seeds), p.n_robots
+        # no keep-out zone around the gate
+        pos, heading = spawn_in_box(seeds, n, p.arena_size, p.robot_radius, self.gate_center, 0.0)
         return SimpleNamespace(
             pos=pos,
             heading=heading,
@@ -118,7 +103,7 @@ class GateEscapeTask(Task):
             disp_sum=np.zeros(b),
         )
 
-    def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
+    def _sensors(self, s: SimpleNamespace) -> np.ndarray:
         p = self.params
         pos, heading = s.pos, s.heading
         x = np.empty(pos.shape[:2] + (6,))
@@ -128,8 +113,8 @@ class GateEscapeTask(Task):
         )
         x[..., 0] = gr
         x[..., 1] = gb / math.pi
-        x[..., 2], x[..., 3] = nearest_neighbor_sensor(
-            pos, heading, s.dist, s.active, p.neighbor_sense, rows
+        x[..., 2:4] = nearest_neighbor_sensor(
+            pos, heading, s.dist, s.active, p.neighbor_sense, 1
         )
         # proximity to the enclosing box, cheap stand-in for per-segment math
         sz = p.arena_size

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..formalism import GEOM_CIRCLE, GroupSpec
 from ..simulation import normalize_angle
-from .base import GroupView, Task
+from .base import GroupView, Task, nearest_neighbor_sensor
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class PredatorPreyTask(Task):
     )
 
     def __init__(self, params: PredatorPreyParams = PredatorPreyParams()):
-        self.params = params
+        super().__init__(params)
         # the chase zone's bounding-box diagonal normalises distance gains
         self.size = 2.0 * params.zone_radius * math.sqrt(2.0)
         n = params.n_predators
@@ -115,11 +115,10 @@ class PredatorPreyTask(Task):
             spread_sum=np.zeros(b),
         )
 
-    def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
+    def _sensors(self, s: SimpleNamespace) -> np.ndarray:
         p = self.params
         pos, heading, prey = s.pos, s.heading, s.prey
-        b, n = pos.shape[0], pos.shape[1]
-        x = np.empty((b, n, 6))
+        x = np.empty(pos.shape[:2] + (6,))
         dx = prey[:, None, 0] - pos[..., 0]
         dy = prey[:, None, 1] - pos[..., 1]
         dist = np.hypot(dx, dy)
@@ -127,23 +126,9 @@ class PredatorPreyTask(Task):
         bearing = normalize_angle(np.arctan2(dy, dx) - heading)
         x[..., 0] = np.where(sensed, dist / p.predator_sense, 1.0)
         x[..., 1] = np.where(sensed, bearing / math.pi, 0.0)
-        peer_d = s.dist.copy()
-        np.einsum("bii->bi", peer_d)[:] = np.inf
-        order = np.argsort(peer_d, axis=2, kind="stable")
-        ni = np.arange(n)[None, :]
-        for slot in range(2):
-            if slot >= n:
-                x[..., 2 + 2 * slot] = 1.0
-                x[..., 3 + 2 * slot] = 0.0
-                continue
-            idx = order[..., slot]
-            d = peer_d[rows, ni, idx]
-            tx = pos[..., 0][rows, idx]
-            ty = pos[..., 1][rows, idx]
-            pb = normalize_angle(np.arctan2(ty - pos[..., 1], tx - pos[..., 0]) - heading)
-            ok = np.isfinite(d) & (d <= p.predator_sense)
-            x[..., 2 + 2 * slot] = np.where(ok, d / p.predator_sense, 1.0)
-            x[..., 3 + 2 * slot] = np.where(ok, pb / math.pi, 0.0)
+        x[..., 2:6] = nearest_neighbor_sensor(
+            pos, heading, s.dist, s.active, p.predator_sense, 2
+        )
         return x
 
     def _step(self, s: SimpleNamespace, t: int, move: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..formalism import GEOM_POINT, GroupSpec
 from ..simulation import range_bearing_arrays
-from .base import GroupView, Task, masked_mean, nearest_neighbor_sensor, random_positions
+from .base import GroupView, Task, masked_mean, nearest_neighbor_sensor, spawn_in_box
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,10 @@ class ResourceSharingTask(Task):
     )
 
     def __init__(self, params: ResourceSharingParams = ResourceSharingParams()):
+        super().__init__(params)
         # a fuller start would take the mean energy, and fitness, out of range
         if not 0.0 <= params.start_energy <= params.e_max:
             raise ValueError("start_energy must be in [0, e_max]")
-        self.params = params
         s = params.arena_size
         self.station = (s / 2.0, s / 2.0)
         # largest possible distance from the station, for the TS vector
@@ -76,35 +76,12 @@ class ResourceSharingTask(Task):
             GroupSpec("station", 1, 1, 1, ("is occupied",)),
         )
 
-    def _initial_state(self, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        p = self.params
-        margin = p.robot_radius + 0.01
-        pos = np.empty((len(seeds), p.n_robots, 2))
-        heading = np.empty((len(seeds), p.n_robots))
-        for b, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            placed = random_positions(
-                rng,
-                p.n_robots,
-                (margin, margin),
-                (p.arena_size - margin, p.arena_size - margin),
-                2.2 * p.robot_radius,
-            )
-            if p.spawn_clearance > 0.0:
-                for i in range(p.n_robots):
-                    while np.hypot(*(placed[i] - self.station)) < p.spawn_clearance:
-                        placed[i] = rng.uniform(
-                            (margin, margin),
-                            (p.arena_size - margin, p.arena_size - margin),
-                        )
-            pos[b] = placed
-            heading[b] = rng.uniform(-math.pi, math.pi, p.n_robots)
-        return pos, heading
-
     def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
         p = self.params
         b, n = len(seeds), p.n_robots
-        pos, heading = self._initial_state(seeds)
+        pos, heading = spawn_in_box(
+            seeds, n, p.arena_size, p.robot_radius, self.station, p.spawn_clearance
+        )
         return SimpleNamespace(
             pos=pos,
             heading=heading,
@@ -118,7 +95,7 @@ class ResourceSharingTask(Task):
             station_count=np.zeros(b, dtype=int),
         )
 
-    def _sensors(self, s: SimpleNamespace, rows: np.ndarray) -> np.ndarray:
+    def _sensors(self, s: SimpleNamespace) -> np.ndarray:
         p = self.params
         pos, heading = s.pos, s.heading
         x = np.empty(pos.shape[:2] + (6,))
@@ -130,8 +107,8 @@ class ResourceSharingTask(Task):
         x[..., 1] = np.where(seen, sr, 1.0)
         x[..., 2] = np.where(seen, sb / math.pi, 0.0)
         x[..., 3] = np.where(seen, (s.occupant >= 0).astype(float)[:, None], 0.0)
-        x[..., 4], x[..., 5] = nearest_neighbor_sensor(
-            pos, heading, s.dist, s.alive, p.neighbor_sense, rows
+        x[..., 4:6] = nearest_neighbor_sensor(
+            pos, heading, s.dist, s.alive, p.neighbor_sense, 1
         )
         return x
 

@@ -10,11 +10,15 @@ benchmark, without any other test noticing.
 import numpy as np
 import pytest
 
-from sdbc import characterisation, cli, evolution, novelty, runio
+from sdbc import characterisation, cli, evolution, novelty, runio, simulation
 from sdbc.evolution import ControllerSpec, evaluate
-from sdbc.tasks import make_task
+from sdbc.tasks import base, make_task
 
 WRAPPED = [
+    (simulation, "step_kinematics_arrays"),
+    (simulation, "resolve_collisions_arrays"),
+    (simulation, "range_bearing_arrays"),
+    (base, "nearest_neighbor_sensor"),
     (evolution, "run_generation"),
     (evolution, "evaluate_population"),
     (evolution, "mutate"),

@@ -1,6 +1,7 @@
 """Aggregation, standardisation, MI weighting, and distance goldens."""
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from sdbc.characterisation import (
     FeatureWeights,
-    aggregate,
     apply_standardisation,
     apply_weights,
     behaviour_distance,
@@ -22,6 +22,29 @@ from sdbc.characterisation import (
 )
 from sdbc.formalism import FeatureSnapshot
 from sdbc.tasks import make_task
+
+
+def aggregate(
+    samples: Sequence[FeatureSnapshot], steps_elapsed: int, max_steps: int
+) -> np.ndarray:
+    """Collapse a trial's feature samples into one raw characterisation:
+    the formal definition, the oracle for `aggregate_batch`.
+
+    The vector is the per-feature mean over all samples, then the final
+    sample, then the normalised trial duration; its components are named
+    by `characterisation_schema` of the samples' schema.
+    """
+    if not samples:
+        raise ValueError("cannot aggregate zero feature samples")
+    if not (1 <= steps_elapsed <= max_steps):
+        raise ValueError("steps_elapsed must be in [1, max_steps]")
+    schema = samples[0].schema
+    for s in samples[1:]:
+        if s.schema != schema:
+            raise ValueError("feature samples disagree on schema")
+    mat = np.array([s.values for s in samples], dtype=float)
+    return np.concatenate([mat.mean(axis=0), mat[-1], [steps_elapsed / max_steps]])
+
 
 SCHEMA3 = ("f0", "f1", "f2")
 

@@ -106,12 +106,18 @@ class TestConfig:
             ("gate_escape", {"n_robots": 0}, "'agents'"),
             ("predator_prey", {"n_predators": 0}, "'predators'"),
             ("resource_sharing", {"start_energy": 150.0}, r"start_energy must be in \[0, e_max\]"),
+            ("resource_sharing", {"axle": 0}, "axle must be > 0"),
+            ("gate_escape", {"dt": 0}, "dt must be > 0"),
+            ("resource_sharing", {"e_max": 0}, "e_max must be > 0"),
+            ("predator_prey", {"zone_radius": 0}, "zone_radius must be > 0"),
         ],
     )
     def test_task_params_without_steps_or_robots_rejected(self, task, params, reason):
         # zero steps made fitness 0/0 and broke the record; zero robots
         # leave a group below its declared size bounds; a tank fuller than
-        # e_max fails the fitness range check at the first evaluation
+        # e_max fails the fitness range check at the first evaluation; a
+        # zero axle gave NaN positions, a zero tank NaN fitness and a zero
+        # chase zone a failure mid-run
         with pytest.raises(ConfigError, match=f"task_params: .*{reason}"):
             config_from_dict({"task": task, "task_params": params})
 
@@ -214,6 +220,26 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: invalid configuration: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task,params,message",
+        [
+            ("resource_sharing", {"axle": 0}, "axle must be > 0, got 0.0"),
+            ("gate_escape", {"dt": 0}, "dt must be > 0, got 0.0"),
+            ("resource_sharing", {"e_max": 0}, "e_max must be > 0, got 0.0"),
+            ("predator_prey", {"zone_radius": 0}, "zone_radius must be > 0, got 0.0"),
+        ],
+        ids=["axle", "dt", "e_max", "zone_radius"],
+    )
+    def test_non_physical_task_params_fail_before_any_run(
+        self, tmp_path, capsys, task, params, message
+    ):
+        cfg_path = write_config(tmp_path, task=task, task_params=params)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid configuration: task_params: {message}\n"
         assert not out.exists()
 
     def test_resume_continues_to_identical_logs(self, tmp_path):

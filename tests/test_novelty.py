@@ -1,20 +1,49 @@
 """k-NN novelty, archive policy, and Pareto ranking against oracles."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdbc.characterisation import behaviour_distance
 from sdbc.novelty import (
     NoveltyArchive,
     ScoredIndividual,
     crowding_distance,
     non_dominated_sort,
-    novelty_score,
     novelty_scores,
     rank_population,
     update_archive,
 )
+
+
+def novelty_score(
+    target: ScoredIndividual,
+    population: Sequence[ScoredIndividual],
+    archive_view: Sequence[np.ndarray],
+    k: int,
+) -> float:
+    """Mean behaviour distance from `target` to its k nearest neighbours,
+    one individual at a time: the oracle for `novelty_scores`.
+
+    Neighbour candidates are the rest of the population plus the archive
+    view; a pool smaller than k is averaged whole.  The target itself is
+    excluded, clones of it are not.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    dists = [
+        behaviour_distance(target.characterisation, other.characterisation)
+        for other in population
+        if other is not target
+    ]
+    dists += [behaviour_distance(target.characterisation, c) for c in archive_view]
+    if not dists:
+        raise ValueError("empty neighbour pool")
+    dists.sort()
+    return float(np.mean(dists[:k]))
 
 
 def individual(i, char, fitness=0.0, novelty=None):

@@ -1,6 +1,7 @@
 """Kinematics, collision resolution, and sensing against geometric oracles."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,18 +10,42 @@ from hypothesis import strategies as st
 
 from sdbc.simulation import (
     Arena,
-    RobotBody,
     normalize_angle,
-    resolve_collisions,
+    range_bearing_arrays,
     resolve_collisions_arrays,
-    sense_range_bearing,
     square_arena,
-    step_kinematics,
+    step_kinematics_arrays,
 )
+from sdbc.tasks import TASKS, make_task
 
 V_MAX = 0.12
 AXLE = 0.08
 DT = 0.1
+
+
+def step(x, y, heading, left, right):
+    """One kinematics step of one robot, as a one-row batch: the new pose
+    and the step's linear and angular speeds, as floats."""
+    out = step_kinematics_arrays(
+        *(np.array([v], dtype=float) for v in (x, y, heading, left, right)), DT, V_MAX, AXLE
+    )
+    return tuple(float(v[0]) for v in out)
+
+
+def sense(observer, target, max_range):
+    """Range, bearing and sensed flag from one observer pose (x, y,
+    heading) to one target point, as a one-row batch."""
+    r, b, sensed = range_bearing_arrays(
+        *(np.array([v], dtype=float) for v in (*observer, *target)), max_range
+    )
+    return float(r[0]), float(b[0]), bool(sensed[0])
+
+
+def resolve_one(points, walls):
+    """Resolve one set of radius-0.05 robots, every one active, as a
+    one-row batch; returns their (N, 2) positions."""
+    pos = np.array([points], dtype=float)
+    return resolve_collisions_arrays(pos, 0.05, np.ones(pos.shape[:2], dtype=bool), walls)[0]
 
 
 def _closest_points_reference(pos, walls):
@@ -119,36 +144,33 @@ def _overlapping_rows(pos, radius, active, walls, tol=1e-9):
 
 class TestKinematics:
     def test_straight_line(self):
-        body = RobotBody(x=0.0, y=0.0, heading=0.7, radius=0.05, left=1.0, right=1.0)
-        out = step_kinematics(body, DT, V_MAX, AXLE)
-        assert out.x == pytest.approx(V_MAX * DT * math.cos(0.7), abs=1e-12)
-        assert out.y == pytest.approx(V_MAX * DT * math.sin(0.7), abs=1e-12)
-        assert out.heading == pytest.approx(0.7, abs=1e-12)
+        x, y, h, lin, ang = step(0.0, 0.0, 0.7, 1.0, 1.0)
+        assert x == pytest.approx(V_MAX * DT * math.cos(0.7), abs=1e-12)
+        assert y == pytest.approx(V_MAX * DT * math.sin(0.7), abs=1e-12)
+        assert h == pytest.approx(0.7, abs=1e-12)
+        assert (lin, ang) == (V_MAX, 0.0)
 
     def test_spin_in_place(self):
-        body = RobotBody(x=1.0, y=2.0, heading=0.0, radius=0.05, left=-1.0, right=1.0)
-        out = step_kinematics(body, DT, V_MAX, AXLE)
-        assert out.x == pytest.approx(1.0, abs=1e-12)
-        assert out.y == pytest.approx(2.0, abs=1e-12)
-        assert out.heading == pytest.approx(V_MAX * 2.0 / AXLE * DT, abs=1e-12)
+        x, y, h, lin, ang = step(1.0, 2.0, 0.0, -1.0, 1.0)
+        assert x == pytest.approx(1.0, abs=1e-12)
+        assert y == pytest.approx(2.0, abs=1e-12)
+        assert h == pytest.approx(V_MAX * 2.0 / AXLE * DT, abs=1e-12)
+        assert (lin, ang) == (0.0, V_MAX * 2.0 / AXLE)
 
     def test_heading_stays_normalised(self):
-        body = RobotBody(x=0.0, y=0.0, heading=3.0, radius=0.05, left=-1.0, right=1.0)
+        x, y, h = 0.0, 0.0, 3.0
         for _ in range(100):
-            body = step_kinematics(body, DT, V_MAX, AXLE)
-            assert -math.pi <= body.heading < math.pi
+            x, y, h, _, _ = step(x, y, h, -1.0, 1.0)
+            assert -math.pi <= h < math.pi
 
     def test_matches_fine_step_integration(self):
         rng = np.random.default_rng(5)
         commands = rng.uniform(-1.0, 1.0, size=(100, 2))
-        coarse = RobotBody(x=0.0, y=0.0, heading=0.0, radius=0.05)
+        coarse = (0.0, 0.0, 0.0)
         fine = (0.0, 0.0, 0.0)
         path_len = 0.0
         for left, right in commands:
-            coarse = step_kinematics(
-                RobotBody(coarse.x, coarse.y, coarse.heading, 0.05, left, right),
-                DT, V_MAX, AXLE,
-            )
+            coarse = step(*coarse, left, right)[:3]
             # dt/100 Euler reference
             x, y, h = fine
             lin = V_MAX * (left + right) / 2.0
@@ -159,30 +181,28 @@ class TestKinematics:
                 h += ang * (DT / 100)
             fine = (x, y, h)
             path_len += abs(lin) * DT
-        err = math.hypot(coarse.x - fine[0], coarse.y - fine[1])
+        err = math.hypot(coarse[0] - fine[0], coarse[1] - fine[1])
         assert err < 0.01 * max(path_len, 1e-9)
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            step_kinematics(RobotBody(0, 0, 0, 0.05), 0.0, V_MAX, AXLE)
+        # the time step is checked where it enters: at task construction
+        for name in TASKS:
+            for dt in (0.0, -0.1):
+                with pytest.raises(ValueError, match="dt must be > 0"):
+                    make_task(name, {"dt": dt})
 
 
 class TestCollisions:
     def test_identical_centres_separate_deterministically(self):
-        bodies = [
-            RobotBody(1.0, 1.0, 0.0, 0.05),
-            RobotBody(1.0, 1.0, 0.0, 0.05),
-        ]
-        out = resolve_collisions(bodies, square_arena(2.0))
-        gap = math.hypot(out[0].x - out[1].x, out[0].y - out[1].y)
+        out = resolve_one([(1.0, 1.0), (1.0, 1.0)], square_arena(2.0).wall_array())
+        gap = math.hypot(*(out[0] - out[1]))
         assert gap == pytest.approx(0.1, abs=1e-9)
-        assert out[0].x < out[1].x  # lower index pushed -x
-        assert out[0].y == out[1].y
+        assert out[0, 0] < out[1, 0]  # lower index pushed -x
+        assert out[0, 1] == out[1, 1]
 
     def test_wall_clamp(self):
-        bodies = [RobotBody(0.01, 1.0, 0.0, 0.05)]
-        out = resolve_collisions(bodies, square_arena(2.0))
-        assert out[0].x == pytest.approx(0.05, abs=1e-9)
+        out = resolve_one([(0.01, 1.0)], square_arena(2.0).wall_array())
+        assert out[0, 0] == pytest.approx(0.05, abs=1e-9)
 
     def test_random_clusters_fully_separated(self):
         rng = np.random.default_rng(9)
@@ -263,20 +283,18 @@ class TestCollisions:
 
 class TestSensing:
     def test_target_at_observer(self):
-        body = RobotBody(1.0, 1.0, 0.3, 0.05)
-        r, b = sense_range_bearing(body, (1.0, 1.0), 2.0)
-        assert r == 0.0
+        r, b, sensed = sense((1.0, 1.0, 0.3), (1.0, 1.0), 2.0)
+        assert r == 0.0 and sensed
 
     def test_dead_ahead_at_max_range(self):
-        body = RobotBody(0.0, 0.0, math.pi / 4, 0.05)
         target = (2.0 * math.cos(math.pi / 4), 2.0 * math.sin(math.pi / 4))
-        r, b = sense_range_bearing(body, target, 2.0)
+        r, b, sensed = sense((0.0, 0.0, math.pi / 4), target, 2.0)
+        assert sensed
         assert r == pytest.approx(1.0, abs=1e-12)
         assert b == pytest.approx(0.0, abs=1e-12)
 
     def test_beyond_range_not_sensed(self):
-        body = RobotBody(0.0, 0.0, 0.0, 0.05)
-        assert sense_range_bearing(body, (3.0, 0.0), 2.0) is None
+        assert not sense((0.0, 0.0, 0.0), (3.0, 0.0), 2.0)[2]
 
     @given(
         st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3),
@@ -284,19 +302,24 @@ class TestSensing:
     )
     @settings(max_examples=80)
     def test_matches_trigonometric_oracle(self, ox, oy, tx, ty, heading):
-        body = RobotBody(ox, oy, heading, 0.05)
-        out = sense_range_bearing(body, (tx, ty), 10.0)
+        r, b, sensed = sense((ox, oy, heading), (tx, ty), 10.0)
         dist = math.hypot(tx - ox, ty - oy)
-        assert out is not None
-        r, b = out
+        assert sensed
         assert r == pytest.approx(dist / 10.0, abs=1e-9)
         expected = math.atan2(ty - oy, tx - ox) - heading
         expected = (expected + math.pi) % (2 * math.pi) - math.pi
         assert b == pytest.approx(expected, abs=1e-9)
 
     def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            sense_range_bearing(RobotBody(0, 0, 0, 0.05), (1.0, 0.0), 0.0)
+        # every sensor range is checked where it enters: at task construction
+        checked = 0
+        for name, (_, params_cls) in TASKS.items():
+            for field in fields(params_cls):
+                if field.name.endswith("_sense"):
+                    with pytest.raises(ValueError, match=f"{field.name} must be > 0"):
+                        make_task(name, {field.name: 0.0})
+                    checked += 1
+        assert checked == 6  # two ranges per task
 
 
 class TestDeterminism:
@@ -305,14 +328,11 @@ class TestDeterminism:
         commands = rng.uniform(-1, 1, size=(50, 2))
         runs = []
         for _ in range(2):
-            body = RobotBody(0.3, 0.4, 0.1, 0.05)
+            pose = (0.3, 0.4, 0.1)
             trace = []
             for left, right in commands:
-                body = step_kinematics(
-                    RobotBody(body.x, body.y, body.heading, 0.05, left, right),
-                    DT, V_MAX, AXLE,
-                )
-                trace.append((body.x, body.y, body.heading))
+                pose = step(*pose, left, right)[:3]
+                trace.append(pose)
             runs.append(trace)
         assert runs[0] == runs[1]
 
@@ -329,11 +349,13 @@ class TestAngles:
 
 class TestArena:
     def test_square_arena_geometry(self):
-        arena = square_arena(2.0)
-        assert arena.bounds == (0.0, 0.0, 2.0, 2.0)
-        assert arena.diagonal == pytest.approx(math.sqrt(8.0))
-        assert arena.wall_array().shape == (4, 4)
+        walls = square_arena(2.0).wall_array()
+        assert walls.shape == (4, 4)
+        # four sides, each running from one corner to the next
+        corners = {(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)}
+        assert {tuple(w[:2]) for w in walls} == corners
+        assert all(tuple(w[2:]) == tuple(walls[(k + 1) % 4, :2]) for k, w in enumerate(walls))
 
     def test_empty_walls(self):
-        arena = Arena(walls=(), bounds=(0, 0, 1, 1))
+        arena = Arena(walls=())
         assert arena.wall_array().shape == (0, 4)

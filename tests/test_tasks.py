@@ -640,8 +640,39 @@ def reference_nearest_neighbor_sensor(pos, heading, mask, sense_range, rows):
     return rng_col, bear_col
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 7])
-def test_neighbor_sensor_matches_its_own_distance_reference(n):
+def reference_two_nearest_peers(pos, heading, mask, sense_range, rows):
+    """The predator-prey peer sensor as it was when it sorted each robot's
+    peer distances itself, reading two slots off a stable argsort; frozen
+    here, with the mask applied first, as the two-slot reference."""
+    n = pos.shape[1]
+    x = np.empty(pos.shape[:2] + (4,))
+    peer_d = pairwise_distances(pos[..., 0], pos[..., 1])
+    peer_d = np.where(mask[:, None, :] & mask[:, :, None], peer_d, np.inf)
+    np.einsum("bii->bi", peer_d)[:] = np.inf
+    order = np.argsort(peer_d, axis=2, kind="stable")
+    ni = np.arange(n)[None, :]
+    for slot in range(2):
+        if slot >= n:
+            x[..., 2 * slot] = 1.0
+            x[..., 1 + 2 * slot] = 0.0
+            continue
+        idx = order[..., slot]
+        d = peer_d[rows, ni, idx]
+        tx = pos[..., 0][rows, idx]
+        ty = pos[..., 1][rows, idx]
+        pb = normalize_angle(np.arctan2(ty - pos[..., 1], tx - pos[..., 0]) - heading)
+        ok = np.isfinite(d) & (d <= sense_range)
+        x[..., 2 * slot] = np.where(ok, d / sense_range, 1.0)
+        x[..., 1 + 2 * slot] = np.where(ok, pb / math.pi, 0.0)
+    return x
+
+
+@pytest.mark.parametrize(
+    "n,slots",
+    [pytest.param(n, 1, id=str(n)) for n in (1, 2, 4, 7)]
+    + [pytest.param(n, 2, id=f"{n}-two-slots") for n in (1, 2, 3, 4, 7)],
+)
+def test_neighbor_sensor_matches_its_own_distance_reference(n, slots):
     rng = np.random.default_rng(n)
     b = 60
     pos = rng.uniform(0.0, 2.0, (b, n, 2))
@@ -653,12 +684,33 @@ def test_neighbor_sensor_matches_its_own_distance_reference(n):
     rows = np.arange(b)[:, None]
     dist = pairwise_distances(pos[..., 0], pos[..., 1])
     before = dist.copy()
-    got = nearest_neighbor_sensor(pos, heading, dist, mask, 1.0, rows)
-    expected = reference_nearest_neighbor_sensor(pos, heading, mask, 1.0, rows)
+    got = nearest_neighbor_sensor(pos, heading, dist, mask, 1.0, slots)
+    if slots == 1:
+        expected = np.stack(reference_nearest_neighbor_sensor(pos, heading, mask, 1.0, rows), -1)
+    else:
+        expected = reference_two_nearest_peers(pos, heading, mask, 1.0, rows)
     assert np.array_equal(dist, before)
-    for a, e in zip(got, expected, strict=True):
-        assert np.array_equal(a, e)
-    assert (got[0][:5] == 1.0).all() and (got[1][:5] == 0.0).all()
+    assert got.shape == (b, n, 2 * slots)
+    assert np.array_equal(got, expected)
+    assert (got[:5, :, 0::2] == 1.0).all() and (got[:5, :, 1::2] == 0.0).all()
+
+
+def test_gate_and_sharing_spawn_through_one_routine():
+    # both tasks place robots the same way, so with no keep-out zone the
+    # same seeds give the same start poses; a clearance only redraws the
+    # robots too close to the station
+    seeds = list(range(40))
+    gate = make_task("gate_escape")._reset(seeds)
+    sharing = make_task("resource_sharing")._reset(seeds)
+    assert np.array_equal(gate.pos, sharing.pos)
+    assert np.array_equal(gate.heading, sharing.heading)
+    task = make_task("resource_sharing", {"spawn_clearance": 0.6})
+    cleared = task._reset(seeds).pos
+    to_station = np.hypot(*np.moveaxis(cleared - np.array(task.station), -1, 0))
+    assert (to_station >= 0.6).all()
+    kept = np.hypot(*np.moveaxis(sharing.pos - np.array(task.station), -1, 0)) >= 0.6
+    assert 0 < kept.sum() < kept.size
+    assert np.array_equal(cleared[kept], sharing.pos[kept])
 
 
 def reference_segment_distance(x, y, segments):
@@ -747,7 +799,7 @@ class TestResourceSharingBehaviour:
         )
         seed = next(
             s for s in range(5000)
-            if np.hypot(*(task._initial_state([s])[0][0, 0] - np.array(task.station))) < 0.04
+            if np.hypot(*(task._reset([s]).pos[0, 0] - np.array(task.station))) < 0.04
         )
         batch = task.simulate(null_controller, [seed])
         assert batch.ts_chars[0, 3] < 0.03
