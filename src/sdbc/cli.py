@@ -37,6 +37,7 @@ from .config import (
     config_from_dict,
     default_config_text,
     load_config,
+    validate_config,
 )
 from .evolution import (
     METHODS,
@@ -189,10 +190,11 @@ def _resume_conflict(run_dir: Path, cfg_dict: dict) -> str | None:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+            validate_config(cfg)
     except ConfigError as exc:
         return _fail(f"invalid configuration: {exc}")
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
     methods = args.method or [cfg.method]

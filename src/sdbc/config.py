@@ -131,6 +131,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"method: unknown method {cfg.method!r}; choose from {list(METHODS)}")
     ga = cfg.ga
     checks = [
+        (cfg.seed >= 0, "seed: must be >= 0"),
         (ga.population >= 2, "ga.population: must be >= 2"),
         (ga.generations >= 1, "ga.generations: must be >= 1"),
         (ga.trials >= 1, "ga.trials: must be >= 1"),
@@ -185,7 +186,7 @@ def default_config_text() -> str:
 
 task: resource_sharing        # one of: {", ".join(task_names())}
 method: ns-sd+                # fit | ns-ts | ns-sd | ns-sd+
-seed: 1                       # master seed; run i of the j-th --method uses seed + 1000*j + i
+seed: 1                       # master seed (>= 0); run i of the j-th --method uses seed + 1000*j + i
 out: runs                     # output directory for run records
 dump_population: false        # per-generation CSVs of characterisations
 checkpoint_every: 10          # generations between resumable checkpoints

@@ -61,6 +61,10 @@ class StackedControllers:
     leave the batch.  Without it the rows split into K equal consecutive
     blocks, block k going through genome k.  Either way each row's output
     is bit-identical to running its own genome's network on that row alone.
+
+    Each row's weights are gathered once and kept until a call brings
+    another row index, as a step loop does only when trials leave its
+    batch; the old gather is dropped before the new one is taken.
     """
 
     def __init__(self, genomes: np.ndarray, spec: ControllerSpec):
@@ -73,11 +77,17 @@ class StackedControllers:
         self.k = k
         self.out_low = spec.out_low
         self.out_high = spec.out_high
+        self._rows: np.ndarray | None = None  # the row index `_gathered` is for
+        self._gathered: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray, networks: np.ndarray | None = None) -> np.ndarray:
         if networks is None:
             networks = np.repeat(np.arange(self.k), x.shape[0] // self.k)
-        w1, w2 = self.w1[networks], self.w2[networks]
+        if self._rows is None or not np.array_equal(networks, self._rows):
+            self._gathered = None  # one gather alive at a time
+            self._rows = np.array(networks)  # a copy: the caller may reuse its array
+            self._gathered = self.w1[networks], self.w2[networks]
+        w1, w2 = self._gathered
         h = np.tanh(np.einsum("ri,rhi->rh", x, w1[:, :, :-1]) + w1[:, :, -1])
         o = np.einsum("rh,roh->ro", h, w2[:, :, :-1]) + w2[:, :, -1]
         logistic = 1.0 / (1.0 + np.exp(-o))

@@ -7,7 +7,7 @@ from typing import Any
 
 from .base import Controller, Task, TrialBatch
 from .gate_escape import GateEscapeParams, GateEscapeTask, gate_fitness
-from .predator_prey import PredatorPreyParams, PredatorPreyTask, prey_policy, pursuit_fitness
+from .predator_prey import PredatorPreyParams, PredatorPreyTask, pursuit_fitness
 from .resource_sharing import ResourceSharingParams, ResourceSharingTask, sharing_fitness
 
 TASKS = {
@@ -55,5 +55,4 @@ __all__ = [
     "PredatorPreyTask",
     "PredatorPreyParams",
     "pursuit_fitness",
-    "prey_policy",
 ]

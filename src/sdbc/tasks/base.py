@@ -11,7 +11,8 @@ position change of that step, and once after the reset; the step's rules
 and features read it, and so do the next step's sensors, which see the
 positions the previous step left.  A task supplies only its initial
 state (`_reset`), its position constraint (`_constrain`), its sensors,
-its step rules (`_step`), its group view (`_groups`) and its fitness and
+its step rules (`_step`), its group view (`_groups`), the running sums it
+reads from the step's feature row (`_tally`) and its fitness and
 task-specific characterisation (`_finish`).  Per-trial working state lives
 in one namespace of arrays with the live trials on the leading axis, so
 the loop can compact it: when a trial ends, its final state (feature total
@@ -154,7 +155,8 @@ class Task:
         wheel commands.  With `networks`, a (B,) index per trial, it is
         called as `controller(x, index_per_row)` instead, so a stack of
         networks can pick each row's own network after finished trials
-        have left the batch.
+        have left the batch.  The index changes only on a step where
+        trials leave, so the stack can keep its per-row weights until then.
         """
         p = self.params
         b, tau = len(seeds), self.max_steps
@@ -195,6 +197,7 @@ class Task:
             ending = self._step(s, t, move)
             write_features(s.feature_row, self._groups(s), specs, excluded)
             s.feature_total += s.feature_row
+            self._tally(s, s.feature_row)
             if record:
                 frame = {key: getattr(s, key) for key in self.record_keys}
                 frames.append((live, frame | {"features": s.feature_row.copy()}))
@@ -246,6 +249,12 @@ class Task:
         """The step's group view: one `(member, attrs, props, dist)` entry per
         `group_specs()` entry, in order (see `GroupView`)."""
         raise NotImplementedError
+
+    def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
+        """Add the step to running sums of `s` that read its (B, F) feature
+        `row`, written after `_step`.  The default keeps none.  A column
+        index is best looked up by name on the first call, when the loop
+        has already checked the row against the schema."""
 
     def _finish(
         self, s: SimpleNamespace, steps: np.ndarray
@@ -463,25 +472,37 @@ def nearest_neighbor_sensor(
     return out.reshape(b, n, 2 * slots)
 
 
-def random_positions(
-    rng: np.random.Generator,
-    n: int,
-    low: tuple[float, float],
-    high: tuple[float, float],
-    min_separation: float,
-    max_tries: int = 200,
-) -> np.ndarray:
-    """Uniform non-overlapping points in a box, deterministic per rng state."""
-    placed = np.empty((n, 2))
-    for k in range(n):
-        for _ in range(max_tries):
-            p = rng.uniform(low, high)
-            if (np.hypot(*(p - placed[:k]).T) >= min_separation).all():
-                break
-        else:
-            p = rng.uniform(low, high)  # crowded box: accept overlap
-        placed[k] = p
-    return placed
+class _TrialDraws:
+    """Each trial's stream of `default_rng(seed).random()` draws, read in
+    order through a per-trial cursor.
+
+    Every stream is drawn ahead as one block.  A trial that reads past its
+    block re-seeds and draws a block twice as long, whose first part
+    repeats what it has already read, so no generator outlives a call.
+    """
+
+    def __init__(self, seeds: Sequence[int], block: int) -> None:
+        self.seeds = seeds
+        self.block = np.empty((len(seeds), block))
+        for b, seed in enumerate(seeds):
+            self.block[b] = np.random.default_rng(seed).random(block)
+        self.filled = np.full(len(seeds), block)
+        self.cursor = np.zeros(len(seeds), dtype=np.int64)
+
+    def take(self, trials: np.ndarray, count: int) -> np.ndarray:
+        """The next `count` draws of each of `trials`: (len(trials), count)."""
+        end = self.cursor[trials] + count
+        for b in trials[end > self.filled[trials]]:
+            length = max(2 * self.filled[b], self.cursor[b] + count)
+            if length > self.block.shape[1]:
+                wider = np.empty((len(self.seeds), length))
+                wider[:, : self.block.shape[1]] = self.block
+                self.block = wider
+            self.block[b, :length] = np.random.default_rng(self.seeds[b]).random(length)
+            self.filled[b] = length
+        drawn = self.block[trials[:, None], self.cursor[trials][:, None] + np.arange(count)]
+        self.cursor[trials] = end
+        return drawn
 
 
 def spawn_in_box(
@@ -494,21 +515,43 @@ def spawn_in_box(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(B, n, 2) start positions and (B, n) headings, one trial per seed.
 
-    Each trial's robots are placed apart by `random_positions` inside the
-    (size x size) box, a margin off its walls; a robot closer than
-    `clearance` to the point `keep_out` is then redrawn until it is not;
-    the headings are drawn last, from the same generator.
+    Each trial draws from its own `default_rng(seed)`, in this order.  Its
+    robots are placed one at a time, uniformly inside the (size x size)
+    box a margin off its walls: a point closer than 2.2 radii to a robot
+    already placed is redrawn, up to 200 tries, after which one more draw
+    is accepted as it is (a crowded box).  A robot closer than `clearance`
+    to the point `keep_out` is then redrawn until it is not, robot by
+    robot.  The headings are drawn last.  The batch is placed robot k of
+    every trial at a time, each trial reading its own stream, so a trial's
+    start does not depend on the other seeds of its batch.
     """
     margin = radius + 0.01
-    low, high = (margin, margin), (size - margin, size - margin)
+    low = np.array((margin, margin))
+    span = np.array((size - margin, size - margin)) - low  # uniform(low, high) is low + span*u
+    everyone = np.arange(len(seeds))
+    # two draws per point and one per heading, plus room for a few redraws
+    draws = _TrialDraws(seeds, 4 * n)
     pos = np.empty((len(seeds), n, 2))
-    heading = np.empty((len(seeds), n))
-    for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        pos[b] = random_positions(rng, n, low, high, 2.2 * radius)
-        if clearance > 0.0:  # skips the per-robot distance checks when nothing is kept out
-            for i in range(n):
-                while np.hypot(*(pos[b, i] - keep_out)) < clearance:
-                    pos[b, i] = rng.uniform(low, high)
-        heading[b] = rng.uniform(-math.pi, math.pi, n)
+    for k in range(n):
+        pending = everyone
+        for _ in range(200):
+            p = low + span * draws.take(pending, 2)
+            gap = np.hypot(p[:, None, 0] - pos[pending, :k, 0], p[:, None, 1] - pos[pending, :k, 1])
+            apart = (gap >= 2.2 * radius).all(axis=1)
+            pos[pending[apart], k] = p[apart]
+            pending = pending[~apart]
+            if not pending.size:
+                break
+        else:
+            pos[pending, k] = low + span * draws.take(pending, 2)  # crowded box: accept overlap
+    if clearance > 0.0:  # skips the per-robot distance checks when nothing is kept out
+        for k in range(n):
+            pending = everyone
+            while True:
+                x, y = pos[pending, k, 0] - keep_out[0], pos[pending, k, 1] - keep_out[1]
+                pending = pending[np.hypot(x, y) < clearance]
+                if not pending.size:
+                    break
+                pos[pending, k] = low + span * draws.take(pending, 2)
+    heading = -math.pi + 2.0 * math.pi * draws.take(everyone, n)
     return pos, heading

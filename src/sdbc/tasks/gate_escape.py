@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -13,13 +14,7 @@ import numpy as np
 
 from ..formalism import GEOM_POINT, GEOM_SEGMENTS, GroupSpec
 from ..simulation import range_bearing_arrays
-from .base import (
-    GroupView,
-    Task,
-    masked_mean,
-    nearest_neighbor_sensor,
-    spawn_in_box,
-)
+from .base import GroupView, Task, nearest_neighbor_sensor, spawn_in_box
 
 
 @dataclass(frozen=True)
@@ -147,14 +142,11 @@ class GateEscapeTask(Task):
         ).astype(float)
         s.closing = (s.first_pass >= 0).astype(float)
 
-        # running sums of the gate distance and the mean pair distance,
-        # for the task-specific characterisation
-        gate_d = np.hypot(pos[..., 0] - cx, pos[..., 1] - cy)
-        to_gate, gate_ok = masked_mean(gate_d, active)
+        # running sum of the mean pair distance, for the task-specific
+        # characterisation; it divides the pair total by n(n-1), where the
+        # dispersion feature divides by (n-1)^2
         n_active = active.sum(axis=1)
         pair_total = (s.dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
-        s.gate_sum += to_gate * gate_ok
-        s.gate_count += gate_ok
         n_pairs = np.maximum(n_active * (n_active - 1), 1)
         s.disp_sum += np.where(n_active >= 2, pair_total / n_pairs, 0.0)
 
@@ -162,6 +154,17 @@ class GateEscapeTask(Task):
             t >= s.first_pass + p.gate_close_delay + p.grace_steps
         )
         return (n_active == 0) | closed_out
+
+    @cached_property
+    def _gate_column(self) -> int:
+        return self.feature_names().index("agents-gate distance")
+
+    def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
+        # the feature column is the active robots' mean gate distance,
+        # defined where any robot is active
+        active = s.active.any(axis=1)
+        s.gate_sum += row[:, self._gate_column] * active
+        s.gate_count += active
 
     def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = self.params

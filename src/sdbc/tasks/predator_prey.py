@@ -43,23 +43,6 @@ def pursuit_fitness(captured, t, tau: int, d_i, d_f, size: float) -> np.ndarray 
     return fitness if fitness.ndim else float(fitness)
 
 
-def prey_policy(
-    prey_pos: np.ndarray, predator_pos: np.ndarray, sense_range: float
-) -> np.ndarray:
-    """Unit flight direction away from the mean sensed predator position,
-    or the zero vector when no predator is in range."""
-    deltas = predator_pos - prey_pos
-    dist = np.sqrt((deltas * deltas).sum(axis=-1))
-    sensed = dist <= sense_range
-    if not sensed.any():
-        return np.zeros(2)
-    away = prey_pos - predator_pos[sensed].mean(axis=0)
-    norm = math.hypot(away[0], away[1])
-    if norm < 1e-12:
-        return np.zeros(2)
-    return away / norm
-
-
 class PredatorPreyTask(Task):
     name = "predator_prey"
     n_inputs = 6

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from ..formalism import GEOM_POINT, GroupSpec
 from ..simulation import range_bearing_arrays
-from .base import GroupView, Task, masked_mean, nearest_neighbor_sensor, spawn_in_box
+from .base import GroupView, Task, nearest_neighbor_sensor, spawn_in_box
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,18 @@ class ResourceSharingTask(Task):
         s.alive_steps += alive.sum(axis=1)
         s.charging = (charging & alive).astype(float)
         s.occupied = (s.occupant >= 0).astype(float)
-        to_station, station_ok = masked_mean(st_dist, alive)
-        s.station_sum += to_station * station_ok
-        s.station_count += station_ok
         return alive.sum(axis=1) == 0
+
+    @cached_property
+    def _station_column(self) -> int:
+        return self.feature_names().index("agents-station distance")
+
+    def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
+        # the feature column is the alive robots' mean station distance,
+        # defined where any robot is alive
+        alive = s.alive.any(axis=1)
+        s.station_sum += row[:, self._station_column] * alive
+        s.station_count += alive
 
     def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
         """The alive robots form the agents group; the station is a point."""

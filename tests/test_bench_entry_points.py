@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sdbc import characterisation, cli, evolution, novelty, runio, simulation
-from sdbc.evolution import ControllerSpec, evaluate
+from sdbc.evolution import ControllerSpec, StackedControllers, evaluate
 from sdbc.tasks import base, make_task
 
 WRAPPED = [
@@ -63,3 +63,30 @@ def test_evaluate_returns_what_the_replay_check_reads():
     logged = result.trial_fitness.tolist()
     assert len(logged) == 3 and all(type(f) is float for f in logged)
     assert result.fitness == float(np.mean(logged))
+
+
+def test_simulate_calls_the_controller_once_per_step_with_the_live_rows(monkeypatch):
+    # the `evolution.controller` span and the `controller_rows` count wrap
+    # this call, so they cover every step only while each step makes it
+    calls = []
+    call = StackedControllers.__call__
+
+    def counted(self, x, networks=None):
+        calls.append((x.shape[0], networks.copy()))
+        return call(self, x, networks)
+
+    monkeypatch.setattr(StackedControllers, "__call__", counted)
+    task = make_task("resource_sharing", {"max_steps": 80, "n_robots": 3, "start_energy": 4.0})
+    spec = ControllerSpec(task.n_inputs, 4, task.n_outputs)
+    genomes = np.random.default_rng(3).uniform(-1, 1, (3, spec.genome_length))
+    networks = np.repeat(np.arange(3), 4)
+    batch = task.simulate(
+        StackedControllers(genomes, spec), list(range(12)), record=False, networks=networks
+    )
+    steps = batch.steps
+    assert len(np.unique(steps)) > 2  # trials leave the batch at several steps
+    assert len(calls) == steps.max()
+    for t, (rows, index) in enumerate(calls):
+        live = steps > t
+        assert rows == 3 * live.sum()
+        assert np.array_equal(index, np.repeat(networks[live], 3))

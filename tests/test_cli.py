@@ -242,6 +242,23 @@ class TestRun:
         assert err == f"error: invalid configuration: task_params: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "where,env,flag",
+        [("config", None, None), ("flag", None, "-1"), ("env", "-4", None)],
+    )
+    def test_negative_seed_fails_before_any_run(
+        self, tmp_path, monkeypatch, capsys, where, env, flag
+    ):
+        # numpy rejects a negative seed only once a run has started
+        cfg_path = write_config(tmp_path, seed=-3 if where == "config" else 9)
+        if env is not None:
+            monkeypatch.setenv("SDBC_SEED", env)
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv + (["--seed", flag] if flag else [])) == 2
+        assert capsys.readouterr().err == "error: invalid configuration: seed: must be >= 0\n"
+        assert not out.exists()
+
     def test_resume_continues_to_identical_logs(self, tmp_path):
         # both sides share `out`, so every run file but timing.csv must
         # match: checkpoint arrays, archive, best genome and the dumps

@@ -120,6 +120,21 @@ class TestController:
             for i in np.nonzero(rows)[0]:
                 assert np.array_equal(got[i], single(x[i : i + 1])[0])
 
+    def test_an_index_rewritten_in_place_is_read_afresh(self):
+        # the gathered weights are kept while the row index stays equal, so
+        # a caller that rewrites its one index array must still get the
+        # networks it now names
+        rng = np.random.default_rng(19)
+        genomes = rng.normal(size=(4, SPEC.genome_length))
+        stacked = StackedControllers(genomes, SPEC)
+        x = rng.normal(size=(8, SPEC.inputs))
+        networks = np.zeros(8, dtype=int)
+        assert np.array_equal(stacked(x, networks), build_controller(genomes[0], SPEC)(x))
+        networks[:] = 3
+        last = build_controller(genomes[3], SPEC)
+        assert np.array_equal(stacked(x, networks), last(x))
+        assert np.array_equal(stacked(x[:4], networks[:4]), last(x[:4]))
+
 
 class TestMutate:
     def test_zero_probability_identity(self):

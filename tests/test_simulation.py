@@ -346,6 +346,15 @@ class TestAngles:
             math.cos(out), math.cos(a), abs_tol=1e-9
         ) and math.isclose(math.sin(out), math.sin(a), abs_tol=1e-9)
 
+    def test_normalize_angle_is_bitwise_the_remainder_form(self):
+        pi = math.pi
+        edges = [0.0, -0.0, pi, -pi, 2 * pi, -2 * pi, 3 * pi, -3 * pi, 5e-324, -5e-324,
+                 2.2e-308, -2.2e-308, 1e16, -1e16]
+        edges += [np.nextafter(e, d) for e in (pi, -pi, 3 * pi, -3 * pi) for d in (-9, 9)]
+        a = np.concatenate([edges, np.random.default_rng(0).uniform(-20.0, 20.0, 100_000)])
+        reference = (a + pi) % (2.0 * pi) - pi
+        assert np.array_equal(normalize_angle(a).view(np.int64), reference.view(np.int64))
+
 
 class TestArena:
     def test_square_arena_geometry(self):

@@ -21,11 +21,11 @@ from sdbc.simulation import normalize_angle
 from sdbc.tasks.base import (
     nearest_neighbor_sensor,
     pairwise_distances,
-    random_positions,
     segment_distance,
+    spawn_in_box,
 )
 from sdbc.tasks.gate_escape import gate_fitness
-from sdbc.tasks.predator_prey import prey_policy, pursuit_fitness
+from sdbc.tasks.predator_prey import pursuit_fitness
 from sdbc.tasks.resource_sharing import (
     ResourceSharingParams,
     ResourceSharingTask,
@@ -92,6 +92,22 @@ class TestPursuitFitness:
             pursuit_fitness(False, 1, 10, -1.0, 0.0, 8.0)
 
 
+def prey_policy(prey_pos, predator_pos, sense_range):
+    """One-trial flee rule, the oracle for recorded prey moves: the unit
+    direction away from the mean sensed predator position, or the zero
+    vector when no predator is in range."""
+    deltas = predator_pos - prey_pos
+    dist = np.sqrt((deltas * deltas).sum(axis=-1))
+    sensed = dist <= sense_range
+    if not sensed.any():
+        return np.zeros(2)
+    away = prey_pos - predator_pos[sensed].mean(axis=0)
+    norm = math.hypot(away[0], away[1])
+    if norm < 1e-12:
+        return np.zeros(2)
+    return away / norm
+
+
 class TestPreyPolicy:
     def test_no_predator_in_range_stops(self):
         out = prey_policy(np.zeros(2), np.array([[5.0, 0.0]]), 1.0)
@@ -111,40 +127,56 @@ class TestPreyPolicy:
         assert prey_policy(np.zeros(2), preds, 1.0) == pytest.approx(np.zeros(2))
 
 
-def random_positions_reference(rng, n, low, high, min_separation, max_tries=200):
-    """Frozen one-pair-at-a-time placement loop."""
-    placed = []
-    for _ in range(n):
-        for _ in range(max_tries):
-            p = rng.uniform(low, high)
-            if all(np.hypot(*(p - q)) >= min_separation for q in placed):
-                placed.append(p)
-                break
-        else:
-            placed.append(rng.uniform(low, high))
-    return np.array(placed)
+def spawn_in_box_reference(seeds, n, size, radius, keep_out, clearance):
+    """Frozen per-trial placement loop: one generator per trial, one
+    pair of draws per candidate point, one pair distance at a time."""
+    margin = radius + 0.01
+    low, high = (margin, margin), (size - margin, size - margin)
+    pos, heading = np.empty((len(seeds), n, 2)), np.empty((len(seeds), n))
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        placed = []
+        for _ in range(n):
+            for _ in range(200):
+                p = rng.uniform(low, high)
+                if all(np.hypot(*(p - q)) >= 2.2 * radius for q in placed):
+                    placed.append(p)
+                    break
+            else:
+                placed.append(rng.uniform(low, high))
+        pos[b] = placed
+        for i in range(n):
+            while clearance > 0.0 and np.hypot(*(pos[b, i] - keep_out)) < clearance:
+                pos[b, i] = rng.uniform(low, high)
+        heading[b] = rng.uniform(-math.pi, math.pi, n)
+    return pos, heading
 
 
 @pytest.mark.parametrize(
-    "n, high, min_separation, max_tries",
-    [(4, 1.9, 0.11, 200), (8, 0.5, 0.11, 200), (6, 0.25, 0.11, 5), (1, 1.0, 0.5, 200)],
-    ids=["paper", "tight", "crowded", "single"],
+    "n, size, clearance, seeds",
+    [(4, 2.0, 0.0, 300), (8, 0.6, 0.0, 300), (5, 0.35, 0.0, 40), (1, 1.0, 0.0, 300),
+     (4, 2.0, 0.9, 300)],
+    ids=["paper", "tight", "crowded", "single", "clearance"],
 )
-def test_random_positions_match_the_pairwise_loop(n, high, min_separation, max_tries):
-    # same points and same draws: the generator ends in the same state,
-    # including in a box too small for n points, where max_tries runs out
-    exhausted = 0
-    for seed in range(150):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_positions(rng, n, (0.1, 0.1), (high, high), min_separation, max_tries)
-        expected = random_positions_reference(
-            ref_rng, n, (0.1, 0.1), (high, high), min_separation, max_tries
-        )
-        assert np.array_equal(got, expected), seed
-        assert rng.random() == ref_rng.random(), seed
-        gaps = pairwise_distances(got[:, 0], got[:, 1])[np.triu_indices(n, 1)]
-        exhausted += bool((gaps < min_separation).any())
-    assert (exhausted > 0) == (max_tries == 5)
+def test_random_positions_match_the_pairwise_loop(n, size, clearance, seeds):
+    # equal headings, drawn last, show that each trial's stream was read
+    # to the same point, including where the 200 tries run out (crowded)
+    # and where robots are redrawn away from the kept-out point
+    radius, keep_out = 0.05, (0.5 * size, 0.5 * size)
+    trials = list(range(seeds))
+    pos, heading = spawn_in_box(trials, n, size, radius, keep_out, clearance)
+    ref_pos, ref_heading = spawn_in_box_reference(trials, n, size, radius, keep_out, clearance)
+    assert np.array_equal(pos, ref_pos)
+    assert np.array_equal(heading, ref_heading)
+    if not clearance:  # a clearance redraw does not look at the other robots
+        i, j = np.triu_indices(n, 1)
+        gaps = pairwise_distances(pos[..., 0], pos[..., 1])[:, i, j]
+        assert (gaps < 2.2 * radius).any() == (size == 0.35)
+    near = np.hypot(pos[..., 0] - keep_out[0], pos[..., 1] - keep_out[1])
+    assert (near >= clearance).all()
+    # a trial's start does not depend on the other seeds of its batch
+    alone = spawn_in_box(trials[-1:], n, size, radius, keep_out, clearance)
+    assert np.array_equal(alone[0][0], pos[-1]) and np.array_equal(alone[1][0], heading[-1])
 
 
 class TestSchemas:
