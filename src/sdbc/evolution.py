@@ -62,9 +62,10 @@ class StackedControllers:
     blocks, block k going through genome k.  Either way each row's output
     is bit-identical to running its own genome's network on that row alone.
 
-    Each row's weights are gathered once and kept until a call brings
-    another row index, as a step loop does only when trials leave its
-    batch; the old gather is dropped before the new one is taken.
+    Each row's weights and biases are gathered once, as contiguous
+    arrays, and kept until a call brings another row index, as a step loop
+    does only when trials leave its batch; the old gather is dropped
+    before the new one is taken.
     """
 
     def __init__(self, genomes: np.ndarray, spec: ControllerSpec):
@@ -72,13 +73,20 @@ class StackedControllers:
             raise ValueError("genomes must be (K, genome_length)")
         k = genomes.shape[0]
         n1 = (spec.inputs + 1) * spec.hidden
-        self.w1 = genomes[:, :n1].reshape(k, spec.hidden, spec.inputs + 1)
-        self.w2 = genomes[:, n1:].reshape(k, spec.outputs, spec.hidden + 1)
+        w1 = genomes[:, :n1].reshape(k, spec.hidden, spec.inputs + 1)
+        w2 = genomes[:, n1:].reshape(k, spec.outputs, spec.hidden + 1)
+        # each layer's weights and bias column as contiguous arrays, whose
+        # row gathers are contiguous too and cost less than gathers of views
+        self.layers = tuple(
+            np.ascontiguousarray(part)
+            for w in (w1, w2)
+            for part in (w[:, :, :-1], w[:, :, -1])
+        )
         self.k = k
         self.out_low = spec.out_low
         self.out_high = spec.out_high
         self._rows: np.ndarray | None = None  # the row index `_gathered` is for
-        self._gathered: tuple[np.ndarray, np.ndarray] | None = None
+        self._gathered: tuple[np.ndarray, ...] | None = None
 
     def __call__(self, x: np.ndarray, networks: np.ndarray | None = None) -> np.ndarray:
         if networks is None:
@@ -86,10 +94,10 @@ class StackedControllers:
         if self._rows is None or not np.array_equal(networks, self._rows):
             self._gathered = None  # one gather alive at a time
             self._rows = np.array(networks)  # a copy: the caller may reuse its array
-            self._gathered = self.w1[networks], self.w2[networks]
-        w1, w2 = self._gathered
-        h = np.tanh(np.einsum("ri,rhi->rh", x, w1[:, :, :-1]) + w1[:, :, -1])
-        o = np.einsum("rh,roh->ro", h, w2[:, :, :-1]) + w2[:, :, -1]
+            self._gathered = tuple(part.take(networks, axis=0) for part in self.layers)
+        w1, b1, w2, b2 = self._gathered
+        h = np.tanh(np.einsum("ri,rhi->rh", x, w1) + b1)
+        o = np.einsum("rh,roh->ro", h, w2) + b2
         logistic = 1.0 / (1.0 + np.exp(-o))
         return self.out_low + (self.out_high - self.out_low) * logistic
 

@@ -3,6 +3,15 @@
 Each primitive (the kinematics step, collision resolution, range/bearing
 sensing) has one implementation, a pure array transform over a batch axis
 so that many trials advance in lockstep; one robot is a one-row batch.
+
+The step loop reduces over short axes (robots, pair slots, x/y) of a
+(B, N) or (B, N, 2) batch.  NumPy runs its reduction machinery once per
+trial for these, so the loop uses column operations instead, which give
+the same bits: `sum_last_axis`, `sum_axis1`, `min_last_axis`,
+`any_last_axis` and `count_last_axis`.  The sums keep NumPy's order: a
+last axis of fewer than 8 entries is added in order starting from 0.0
+(the start turns a -0.0 total into 0.0), one of 8 or more pairwise
+(`_pairwise_sum`), and any other axis in order from 0.0 at any length.
 """
 
 from __future__ import annotations
@@ -26,6 +35,76 @@ def normalize_angle(a: np.ndarray | float) -> np.ndarray | float:
     m = np.fmod(a + math.pi, TWO_PI)
     m += (m < 0.0) * TWO_PI
     return m - math.pi
+
+
+def sum_last_axis(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1)` of a float array, bit for bit, as column adds.
+
+    The order is the one NumPy takes where the last axis has the smallest
+    stride, as in a C-ordered array or a column view of one (every array
+    of the step loop); it adds a last axis of larger stride in order.
+    """
+    n = a.shape[-1]
+    if n >= 8:
+        return 0.0 + _pairwise_sum([a[..., k] for k in range(n)])
+    total = 0.0 + a[..., 0]
+    for k in range(1, n):
+        total += a[..., k]
+    return total
+
+
+def _pairwise_sum(columns: list[np.ndarray]) -> np.ndarray:
+    """NumPy's pairwise sum of 8 or more entries: eight running sums over
+    blocks of eight, combined as a tree, then the remainder in order;
+    more than 128 entries split in two at a multiple of eight."""
+    n = len(columns)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
+    blocks = n - n % 8
+    r = columns[:8]
+    for i in range(8, blocks, 8):
+        r = [r[j] + columns[i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for column in columns[blocks:]:
+        total += column
+    return total
+
+
+def sum_axis1(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=1)` of a (B, N, ...) float array with a trailing axis,
+    bit for bit: NumPy adds a non-last axis in order from 0.0 at any N."""
+    total = 0.0 + a[:, 0]
+    for k in range(1, a.shape[1]):
+        total += a[:, k]
+    return total
+
+
+def min_last_axis(a: np.ndarray) -> np.ndarray:
+    """`a.min(axis=-1)`, bit for bit where no minimum is a zero of mixed
+    sign: NumPy gives the sign of such a zero by its SIMD width, which
+    varies by CPU."""
+    low = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        np.minimum(low, a[..., k], out=low)
+    return low
+
+
+def any_last_axis(a: np.ndarray) -> np.ndarray:
+    """`a.any(axis=-1)` of a bool array; False over an empty axis, as the
+    pair axis of one robot is."""
+    hit = np.zeros(a.shape[:-1], dtype=bool)
+    for k in range(a.shape[-1]):
+        hit |= a[..., k]
+    return hit
+
+
+def count_last_axis(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1)` of a bool array: the count of True entries."""
+    count = a[..., 0].astype(int)
+    for k in range(1, a.shape[-1]):
+        count += a[..., k]
+    return count
 
 
 @dataclass(frozen=True)
@@ -115,7 +194,7 @@ def resolve_collisions_arrays(
         dx = sub[:, first, 0] - sub[:, second, 0]
         dy = sub[:, first, 1] - sub[:, second, 1]
         pair_ok = ok[:, first] & ok[:, second]
-        hit = (pair_ok & (np.sqrt(dx * dx + dy * dy) < 2.0 * radius - tol)).any(axis=1)
+        hit = any_last_axis(pair_ok & (np.sqrt(dx * dx + dy * dy) < 2.0 * radius - tol))
         if walls.shape[0] > 0:
             delta = sub[:, :, None, :] - _segment_closest_points(sub, walls)
             wall_d = np.sqrt((delta * delta).sum(axis=-1))
@@ -126,17 +205,18 @@ def resolve_collisions_arrays(
 
         for k, (i, j) in enumerate(pairs):
             delta = sub[:, j] - sub[:, i]
-            dist = np.sqrt((delta * delta).sum(axis=1))
+            dist = np.sqrt(sum_last_axis(delta * delta))
             overlap = pair_ok[:, k] & (dist < 2.0 * radius - tol)
             if not overlap.any():
                 continue
             degenerate = overlap & (dist < 1e-12)
             safe = np.where(dist > 1e-12, dist, 1.0)
             unit = delta / safe[:, None]
-            unit[degenerate] = (1.0, 0.0)
-            push = np.where(overlap, (2.0 * radius - dist) * 0.5, 0.0)
-            sub[:, i] -= unit * push[:, None]
-            sub[:, j] += unit * push[:, None]
+            if degenerate.any():
+                unit[degenerate] = (1.0, 0.0)
+            push = unit * np.where(overlap, (2.0 * radius - dist) * 0.5, 0.0)[:, None]
+            sub[:, i] -= push
+            sub[:, j] += push
 
         # a pair push above may have driven a robot into a wall, so every
         # wall is checked even if none was touched at the start of the pass

@@ -54,7 +54,13 @@ from ..formalism import (
     geometry_distance,
 )
 from ..characterisation import aggregate_batch, characterisation_schema
-from ..simulation import normalize_angle, resolve_collisions_arrays, step_kinematics_arrays
+from ..simulation import (
+    count_last_axis,
+    normalize_angle,
+    resolve_collisions_arrays,
+    step_kinematics_arrays,
+    sum_last_axis,
+)
 
 Controller = Callable[..., np.ndarray]
 
@@ -312,11 +318,11 @@ def write_features(
             columns.append((size / (spec.eta_max - spec.eta_min), None))
     for member, attrs, _, _ in view:  # one member count serves all of a group's means
         if member is None:
-            columns += [(values.mean(axis=-1), None) for values in attrs]
+            columns += [(sum_last_axis(values) / values.shape[-1], None) for values in attrs]
             continue
-        count = member.sum(axis=-1)
+        count = count_last_axis(member)
         denom, defined = np.maximum(count, 1), count > 0
-        columns += [((values * member).sum(axis=-1) / denom, defined) for values in attrs]
+        columns += [(sum_last_axis(values * member) / denom, defined) for values in attrs]
     for spec, (member, attrs, props, dist) in zip(specs, view):
         if spec.eta_max > 1:
             n = _count(member, attrs, props)
@@ -341,7 +347,7 @@ def _count(
     """(B,) member count of a group, or its slot count when every slot is a
     member."""
     if member is not None:
-        return member.sum(axis=-1)
+        return count_last_axis(member)
     return 1 if props is not None else attrs[0].shape[-1]
 
 
@@ -422,10 +428,9 @@ def masked_mean(
     defined-ness (any element selected).  A None mask selects every
     element and is defined everywhere (None)."""
     if mask is None:
-        return values.mean(axis=-1), None
-    count = mask.sum(axis=-1)
-    total = (values * mask).sum(axis=-1)
-    return total / np.maximum(count, 1), count > 0
+        return sum_last_axis(values) / values.shape[-1], None
+    count = count_last_axis(mask)
+    return sum_last_axis(values * mask) / np.maximum(count, 1), count > 0
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -472,7 +477,7 @@ def nearest_neighbor_sensor(
     return out.reshape(b, n, 2 * slots)
 
 
-class _TrialDraws:
+class TrialDraws:
     """Each trial's stream of `default_rng(seed).random()` draws, read in
     order through a per-trial cursor.
 
@@ -530,7 +535,7 @@ def spawn_in_box(
     span = np.array((size - margin, size - margin)) - low  # uniform(low, high) is low + span*u
     everyone = np.arange(len(seeds))
     # two draws per point and one per heading, plus room for a few redraws
-    draws = _TrialDraws(seeds, 4 * n)
+    draws = TrialDraws(seeds, 4 * n)
     pos = np.empty((len(seeds), n, 2))
     for k in range(n):
         pending = everyone

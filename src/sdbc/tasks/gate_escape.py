@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from ..formalism import GEOM_POINT, GEOM_SEGMENTS, GroupSpec
-from ..simulation import range_bearing_arrays
+from ..simulation import any_last_axis, count_last_axis, range_bearing_arrays
 from .base import GroupView, Task, nearest_neighbor_sensor, spawn_in_box
 
 
@@ -130,7 +130,7 @@ class GateEscapeTask(Task):
         newly_escaped = move & (pos[..., 1] > p.arena_size + p.robot_radius)
         if newly_escaped.any():
             s.active = s.active & ~newly_escaped
-            s.escaped = n - s.active.sum(axis=1)
+            s.escaped = n - count_last_axis(s.active)
             just_opened = (s.first_pass < 0) & (s.escaped > 0)
             s.first_pass = np.where(just_opened, t, s.first_pass)
 
@@ -145,7 +145,7 @@ class GateEscapeTask(Task):
         # running sum of the mean pair distance, for the task-specific
         # characterisation; it divides the pair total by n(n-1), where the
         # dispersion feature divides by (n-1)^2
-        n_active = active.sum(axis=1)
+        n_active = count_last_axis(active)
         pair_total = (s.dist * (active[:, :, None] & active[:, None, :])).sum(axis=(-2, -1))
         n_pairs = np.maximum(n_active * (n_active - 1), 1)
         s.disp_sum += np.where(n_active >= 2, pair_total / n_pairs, 0.0)
@@ -162,7 +162,7 @@ class GateEscapeTask(Task):
     def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
         # the feature column is the active robots' mean gate distance,
         # defined where any robot is active
-        active = s.active.any(axis=1)
+        active = any_last_axis(s.active)
         s.gate_sum += row[:, self._gate_column] * active
         s.gate_count += active
 

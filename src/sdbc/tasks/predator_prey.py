@@ -11,8 +11,15 @@ from typing import Sequence
 import numpy as np
 
 from ..formalism import GEOM_CIRCLE, GroupSpec
-from ..simulation import normalize_angle
-from .base import GroupView, Task, nearest_neighbor_sensor
+from ..simulation import (
+    any_last_axis,
+    count_last_axis,
+    min_last_axis,
+    normalize_angle,
+    sum_axis1,
+    sum_last_axis,
+)
+from .base import GroupView, Task, TrialDraws, nearest_neighbor_sensor
 
 
 @dataclass(frozen=True)
@@ -70,21 +77,24 @@ class PredatorPreyTask(Task):
         )
 
     def _initial_prey(self, seeds: Sequence[int]) -> np.ndarray:
+        """(B, 2) prey starts: a radius, then an angle, each drawn as
+        `uniform` draws it (low + (high - low)*u) from the trial's
+        `default_rng(seed)`."""
         p = self.params
-        prey = np.empty((len(seeds), 2))
-        for b, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            r = rng.uniform(p.prey_spawn_min, p.prey_spawn_max)
-            a = rng.uniform(-math.pi, math.pi)
-            prey[b] = (r * math.cos(a), r * math.sin(a))
-        return prey
+        u = TrialDraws(seeds, 2).take(np.arange(len(seeds)), 2)
+        r = p.prey_spawn_min + (p.prey_spawn_max - p.prey_spawn_min) * u[:, 0]
+        a = (-math.pi + 2.0 * math.pi * u[:, 1]).tolist()
+        # math's cos and sin: numpy's may differ from them in the last bit
+        cos = np.array([math.cos(x) for x in a])
+        sin = np.array([math.sin(x) for x in a])
+        return np.stack([r * cos, r * sin], axis=-1)
 
     def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
         b, n = len(seeds), self.params.n_predators
         pos = np.broadcast_to(self.start_pos, (b, n, 2)).copy()
         prey = self._initial_prey(seeds)
         d0 = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
-        d_initial = d0.mean(axis=1)
+        d_initial = sum_last_axis(d0) / n
         return SimpleNamespace(
             pos=pos,
             heading=np.broadcast_to(self.start_heading, (b, n)).copy(),
@@ -93,6 +103,7 @@ class PredatorPreyTask(Task):
             prey_heading=np.zeros(b),
             present=np.ones(b, dtype=bool),
             captured=np.zeros(b, dtype=bool),
+            prey_dist=d0,
             d_initial=d_initial,
             d_final=d_initial.copy(),
             spread_sum=np.zeros(b),
@@ -104,7 +115,7 @@ class PredatorPreyTask(Task):
         x = np.empty(pos.shape[:2] + (6,))
         dx = prey[:, None, 0] - pos[..., 0]
         dy = prey[:, None, 1] - pos[..., 1]
-        dist = np.hypot(dx, dy)
+        dist = s.prey_dist  # hypot(-dx, -dy), measured after the last move
         sensed = s.present[:, None] & (dist <= p.predator_sense)
         bearing = normalize_angle(np.arctan2(dy, dx) - heading)
         x[..., 0] = np.where(sensed, dist / p.predator_sense, 1.0)
@@ -120,20 +131,20 @@ class PredatorPreyTask(Task):
         pos, prey, prey_heading = s.pos, s.prey, s.prey_heading
         prey_speed = p.prey_speed_factor * p.v_max
         deltas = pos - prey[:, None, :]
-        pd = np.sqrt((deltas * deltas).sum(axis=-1))
+        pd = np.sqrt(sum_last_axis(deltas * deltas))
         sensed = pd <= p.prey_sense
-        any_sensed = sensed.any(axis=1)
-        w = sensed / np.maximum(sensed.sum(axis=1), 1)[:, None]
-        mean_pred = (pos * w[..., None]).sum(axis=1)
+        any_sensed = any_last_axis(sensed)
+        w = sensed / np.maximum(count_last_axis(sensed), 1)[:, None]
+        mean_pred = sum_axis1(pos * w[..., None])
         away = prey - mean_pred
-        norm = np.sqrt((away * away).sum(axis=-1))
+        norm = np.sqrt(sum_last_axis(away * away))
         flee = np.where(
             (any_sensed & (norm > 1e-12))[:, None],
             away / np.maximum(norm, 1e-12)[:, None],
             0.0,
         )
         s.prey = prey = prey + flee * prey_speed * p.dt
-        moving = (flee != 0.0).any(axis=1)
+        moving = any_last_axis(flee != 0.0)
         s.prey_heading = np.where(moving, np.arctan2(flee[:, 1], flee[:, 0]), prey_heading)
         s.prey_turn = np.where(
             moving, normalize_angle(s.prey_heading - prey_heading) / p.dt, 0.0
@@ -141,15 +152,17 @@ class PredatorPreyTask(Task):
         s.prey_lin = np.where(moving, prey_speed, 0.0)
 
         pd = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
-        caught = s.present & (pd.min(axis=1) <= 2.0 * p.robot_radius)
+        s.prey_dist = pd  # the next step's sensors read it
+        caught = s.present & (min_last_axis(pd) <= 2.0 * p.robot_radius)
         escaped = s.present & ~caught & (np.hypot(prey[:, 0], prey[:, 1]) > p.zone_radius)
         s.present = s.present & ~caught
         s.captured = s.captured | caught
-        s.d_final = pd.mean(axis=1)
-        centroid = pos.mean(axis=1)
-        s.spread_sum += np.hypot(
-            pos[..., 0] - centroid[:, None, 0], pos[..., 1] - centroid[:, None, 1]
-        ).mean(axis=1)
+        n = p.n_predators
+        s.d_final = sum_last_axis(pd) / n
+        centroid = sum_axis1(pos) / n
+        s.spread_sum += sum_last_axis(
+            np.hypot(pos[..., 0] - centroid[:, None, 0], pos[..., 1] - centroid[:, None, 1])
+        ) / n
         return caught | escaped
 
     def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from ..formalism import GEOM_POINT, GroupSpec
-from ..simulation import range_bearing_arrays
+from ..simulation import any_last_axis, count_last_axis, range_bearing_arrays, sum_last_axis
 from .base import GroupView, Task, nearest_neighbor_sensor, spawn_in_box
 
 
@@ -152,12 +152,13 @@ class ResourceSharingTask(Task):
         freed = (occupant >= 0) & ~alive[flat_rows, np.maximum(occupant, 0)]
         s.occupant = np.where(freed, -1, occupant)
 
-        s.energy_integral += (energy * alive).sum(axis=1)
-        s.speed_sum += (np.abs(s.lin) * alive).sum(axis=1)
-        s.alive_steps += alive.sum(axis=1)
+        n_alive = count_last_axis(alive)
+        s.energy_integral += sum_last_axis(energy * alive)
+        s.speed_sum += sum_last_axis(np.abs(s.lin) * alive)
+        s.alive_steps += n_alive
         s.charging = (charging & alive).astype(float)
         s.occupied = (s.occupant >= 0).astype(float)
-        return alive.sum(axis=1) == 0
+        return n_alive == 0
 
     @cached_property
     def _station_column(self) -> int:
@@ -166,7 +167,7 @@ class ResourceSharingTask(Task):
     def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
         # the feature column is the alive robots' mean station distance,
         # defined where any robot is alive
-        alive = s.alive.any(axis=1)
+        alive = any_last_axis(s.alive)
         s.station_sum += row[:, self._station_column] * alive
         s.station_count += alive
 

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 
 from sdbc.simulation import (
     Arena,
+    any_last_axis,
+    count_last_axis,
+    min_last_axis,
     normalize_angle,
     range_bearing_arrays,
     resolve_collisions_arrays,
     square_arena,
     step_kinematics_arrays,
+    sum_axis1,
+    sum_last_axis,
 )
 from sdbc.tasks import TASKS, make_task
 
@@ -354,6 +359,96 @@ class TestAngles:
         a = np.concatenate([edges, np.random.default_rng(0).uniform(-20.0, 20.0, 100_000)])
         reference = (a + pi) % (2.0 * pi) - pi
         assert np.array_equal(normalize_angle(a).view(np.int64), reference.view(np.int64))
+
+
+def _bits(a):
+    """The bit pattern of an array, so that -0.0, 0.0 and NaNs compare."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# edge values every reduction below must carry: signed zeros, infinities,
+# subnormals, and magnitudes far apart, so that any change of summation
+# order changes some rounding
+EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                  2.2250738585072014e-308, 1.0, -1.0, 0.1, 1e16, -1e16, 3.0, -7.5])
+
+
+def _floats(rng, shape, zeros=(0.0, -0.0)):
+    """Random floats over 16 decades, a third of them edge values;
+    `zeros` are the signed zeros that may appear."""
+    edges = np.concatenate([EDGES[EDGES != 0.0], zeros])
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    pick = rng.random(shape) < 1 / 3
+    a[pick] = rng.choice(edges, size=int(pick.sum()))
+    return a
+
+
+# 1..10 straddles NumPy's switch to pairwise summation at 8 last-axis
+# entries; 16, 129 and 300 cover whole blocks and the split above 128
+LENGTHS = list(range(1, 11)) + [16, 129, 300]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestShortAxisReductions:
+    """Each column-operation helper is bitwise equal to the NumPy
+    reduction the step loop used to call."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_sum_last_axis(self, n):
+        rng = np.random.default_rng(n)
+        a = _floats(rng, (2000, n))
+        assert _bits(sum_last_axis(a)) == _bits(a.sum(axis=-1))
+        # all-zero rows: NumPy's 0.0 start turns a -0.0 total into 0.0
+        z = rng.choice([0.0, -0.0], size=(64, n))
+        z[0] = -0.0
+        assert _bits(sum_last_axis(z)) == _bits(z.sum(axis=-1))
+        # a column view of an (B, n, 2) array, as the loop's x and y are
+        pos = _floats(rng, (500, n, 2))
+        assert _bits(sum_last_axis(pos[..., 1])) == _bits(pos[..., 1].sum(axis=-1))
+        # a (B, P, 2) last axis of x/y, as a pair's squared offset
+        assert _bits(sum_last_axis(pos)) == _bits(pos.sum(axis=-1))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_sum_axis1(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = _floats(rng, (2000, n, 2))
+        assert _bits(sum_axis1(a)) == _bits(a.sum(axis=1))
+        z = rng.choice([0.0, -0.0], size=(64, n, 2))
+        z[0] = -0.0
+        assert _bits(sum_axis1(z)) == _bits(z.sum(axis=1))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_min_last_axis(self, n):
+        # NumPy's own sign of a zero minimum among mixed-sign zeros depends
+        # on its SIMD width, so each row holds zeros of one sign only, as
+        # the loop's hypot distances (never -0.0) do
+        rng = np.random.default_rng(200 + n)
+        for zero in (0.0, -0.0):
+            a = _floats(rng, (2000, n), zeros=(zero,))
+            a[rng.random((2000, n)) < 0.05] = np.nan
+            assert _bits(min_last_axis(a)) == _bits(a.min(axis=-1))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bool_reductions(self, n):
+        rng = np.random.default_rng(300 + n)
+        for p in (0.05, 0.5, 0.95):
+            m = rng.random((2000, n)) < p
+            assert _bits(any_last_axis(m)) == _bits(m.any(axis=-1))
+            assert _bits(count_last_axis(m)) == _bits(m.sum(axis=-1))
+
+    def test_any_over_an_empty_axis_is_false(self):
+        # the collision detector's pair axis of a single robot
+        m = np.empty((3, 0), dtype=bool)
+        assert _bits(any_last_axis(m)) == _bits(m.any(axis=-1))
+
+    def test_inputs_are_not_modified(self):
+        a = _floats(np.random.default_rng(7), (50, 9, 2))
+        m = a[..., 0] > 0
+        copies = a.copy(), m.copy()
+        sum_last_axis(a[..., 0]), sum_axis1(a), min_last_axis(a[..., 1])
+        any_last_axis(m), count_last_axis(m)
+        assert _bits(a) == _bits(copies[0]) and _bits(m) == _bits(copies[1])
 
 
 class TestArena:

@@ -179,6 +179,27 @@ def test_random_positions_match_the_pairwise_loop(n, size, clearance, seeds):
     assert np.array_equal(alone[0][0], pos[-1]) and np.array_equal(alone[1][0], heading[-1])
 
 
+def initial_prey_reference(params, seeds):
+    """Frozen per-trial prey start: one generator per trial, a radius and
+    then an angle drawn by `uniform`."""
+    prey = np.empty((len(seeds), 2))
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(params.prey_spawn_min, params.prey_spawn_max)
+        a = rng.uniform(-math.pi, math.pi)
+        prey[b] = (r * math.cos(a), r * math.sin(a))
+    return prey
+
+
+@pytest.mark.parametrize("overrides", [{}, {"prey_spawn_min": 0.2, "prey_spawn_max": 2.9}])
+def test_initial_prey_matches_the_per_trial_draws(overrides):
+    task = make_task("predator_prey", overrides)
+    seeds = list(range(500)) + np.random.default_rng(3).integers(0, 2**62, 500).tolist()
+    prey = task._initial_prey(seeds)
+    reference = initial_prey_reference(task.params, seeds)
+    assert np.array_equal(prey.view(np.int64), reference.view(np.int64))
+
+
 class TestSchemas:
     def test_feature_counts_published_layouts(self):
         assert len(make_task("gate_escape").feature_names()) == 10
@@ -419,9 +440,17 @@ TRAJECTORY_PINS = [
     ("predator_prey", {**SLOW_PREY, "published_layout": False}, None,
      "e55f22c4e8b5050aae9ffe708ba2f11d157ffe2007e39ef32d7363458d2267b1"),
 ]
+# More pins, at 8 or more robots: NumPy sums a last axis of that length
+# pairwise, and the step loop's column sums must follow it there too.
+PAIRWISE_PINS = [
+    ("gate_escape", {**FAST_GATE, "n_robots": 10}, 0,
+     "481be8401e64fc184093534a7cb5b913a898723779d64664510f0b4f92cab2eb"),
+    ("predator_prey", {**SLOW_PREY, "n_predators": 8}, None,
+     "f29cc9b011dba2227b0bb0b9043bbe766e36515623dade544935e9b2dbc28b57"),
+]
 
 
-@pytest.mark.parametrize("name,overrides,genome_seed,digest", TRAJECTORY_PINS)
+@pytest.mark.parametrize("name,overrides,genome_seed,digest", TRAJECTORY_PINS + PAIRWISE_PINS)
 def test_trajectories_match_their_pins(name, overrides, genome_seed, digest):
     task = make_task(name, overrides)
     ctrl = chase_prey if genome_seed is None else random_controller(task, genome_seed)
