@@ -146,12 +146,6 @@ def _rankdata(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _u_statistic(pooled: np.ndarray, n1: int) -> float:
-    ranks = _rankdata(pooled)
-    r1 = ranks[:n1].sum()
-    return r1 - n1 * (n1 + 1) / 2.0
-
-
 def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -177,39 +171,31 @@ def mann_whitney_u(
         raise ValueError(f"unknown alternative {alternative!r}")
     n1, n2 = len(x), len(y)
     pooled = np.concatenate([x, y])
-    u1 = _u_statistic(pooled, n1)
+    ranks = _rankdata(pooled)
+    offset = n1 * (n1 + 1) / 2.0
+    u1 = ranks[:n1].sum() - offset
 
     if n1 <= exact_max_n and n2 <= exact_max_n:
-        total = 0
-        le = 0   # U' <= u1
-        ge = 0   # U' >= u1
-        lo_extreme = 0  # U' <= min(u1, u2)
-        hi_extreme = 0  # U' >= n1*n2 - min(u1, u2)
+        # U of every assignment of n1 pooled values to sample a; the ranks
+        # are half-integers, so every sum and count is exact
+        groups = np.array(list(itertools.combinations(range(n1 + n2), n1)))
+        u = ranks[groups].sum(axis=1) - offset
+        total = len(u)
         u_min = min(u1, n1 * n2 - u1)
         eps = 1e-9
-        idx = np.arange(n1 + n2)
-        for combo in itertools.combinations(range(n1 + n2), n1):
-            mask = np.zeros(n1 + n2, dtype=bool)
-            mask[list(combo)] = True
-            arranged = np.concatenate([pooled[mask], pooled[idx[~mask]]])
-            u = _u_statistic(arranged, n1)
-            total += 1
-            le += u <= u1 + eps
-            ge += u >= u1 - eps
-            lo_extreme += u <= u_min + eps
-            hi_extreme += u >= n1 * n2 - u_min - eps
         if alternative == "greater":
-            p = ge / total
+            p = np.count_nonzero(u >= u1 - eps) / total
         elif alternative == "less":
-            p = le / total
+            p = np.count_nonzero(u <= u1 + eps) / total
         else:
-            p = min(1.0, (lo_extreme + hi_extreme) / total)
+            lo = np.count_nonzero(u <= u_min + eps)
+            hi = np.count_nonzero(u >= n1 * n2 - u_min - eps)
+            p = min(1.0, (lo + hi) / total)
             if n1 * n2 - u_min <= u_min + eps:  # everything is "extreme"
                 p = 1.0
         return float(u1), float(p)
 
     # normal approximation with tie correction
-    ranks = _rankdata(pooled)
     _, counts = np.unique(pooled, return_counts=True)
     n = n1 + n2
     tie_term = (counts**3 - counts).sum() / (n * (n - 1))

@@ -58,9 +58,9 @@ class StackedControllers:
 
     `networks` gives the genome index of each (R, inputs) sensor row, so
     the rows may come in any order and any subset, as when finished trials
-    leave the batch.  Without it the rows split into K equal consecutive
-    blocks, block k going through genome k.  Either way each row's output
-    is bit-identical to running its own genome's network on that row alone.
+    leave the batch; only a stack of one network may be called without
+    it.  Each row's output is bit-identical to running its own genome's
+    network on that row alone.
 
     Each row's weights and biases are gathered once, as contiguous
     arrays, and kept until a call brings another row index, as a step loop
@@ -90,7 +90,9 @@ class StackedControllers:
 
     def __call__(self, x: np.ndarray, networks: np.ndarray | None = None) -> np.ndarray:
         if networks is None:
-            networks = np.repeat(np.arange(self.k), x.shape[0] // self.k)
+            if self.k != 1:
+                raise ValueError("a stack of several networks needs a row index")
+            networks = np.zeros(x.shape[0], dtype=np.int64)
         if self._rows is None or not np.array_equal(networks, self._rows):
             self._gathered = None  # one gather alive at a time
             self._rows = np.array(networks)  # a copy: the caller may reuse its array
@@ -259,7 +261,7 @@ class GenerationDetail:
     novelty: np.ndarray | None
     coefficients: ch.StandardisationCoefficients | None
     weights: ch.FeatureWeights | None
-    order: list[int]
+    order: np.ndarray               # (P,) row indices, best first
 
 
 @dataclass
@@ -315,7 +317,9 @@ def init_population(state: EvolutionState) -> None:
     state.ids = np.arange(state.next_id, state.next_id + p)
     state.next_id += p
     state.has_result = np.zeros(p, dtype=bool)
-    state.results = EvaluationResult.zeros(p, len(state.task.char_schema()), state.trials)
+    n_char = len(state.task.char_schema())
+    state.results = EvaluationResult.zeros(p, n_char, state.trials)
+    state.archive = nov.NoveltyArchive(np.zeros((0, n_char)))
 
 
 def _uses_sdbc(method: str) -> bool:
@@ -344,7 +348,7 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
     coeffs = None
 
     if state.method == "fit":
-        order = by_fitness.tolist()
+        order = by_fitness
     else:
         if _uses_sdbc(state.method):
             selection_raw = sdbc_raw
@@ -358,33 +362,17 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
                     )
                 scale = state.weights.weights
             transformed = ch.apply_standardisation(selection_raw, coeffs) * scale
-            archive_raw = state.archive.raw_matrix()
-            archive_view = (
-                ch.apply_standardisation(archive_raw, coeffs) * scale
-                if archive_raw.size
-                else np.empty((0, 0))
-            )
+            archive_view = ch.apply_standardisation(state.archive.raw, coeffs) * scale
             selection_chars = transformed
         else:  # ns-ts: the hand-designed vector is used as-is
             selection_raw = ts
             selection_chars = ts
-            archive_view = state.archive.raw_matrix()
+            archive_view = state.archive.raw
 
         novelty_arr = nov.novelty_scores(selection_chars, archive_view, state.novelty_k)
-        scored = [
-            nov.ScoredIndividual(
-                id=int(ids[i]),
-                fitness=float(fitness[i]),
-                characterisation=selection_chars[i],
-                novelty=float(novelty_arr[i]),
-                raw=selection_raw[i],
-            )
-            for i in range(len(ids))
-        ]
-        order = nov.rank_population(scored)
-        nov.update_archive(
-            state.archive,
-            scored,
+        order = nov.rank_population(fitness, novelty_arr, ids)
+        state.archive.sample(
+            selection_raw,
             stream_rng(state.master_seed, _SEED_ARCHIVE, gen),
             state.archive_rate,
             gen,

@@ -15,30 +15,35 @@ class ScoredIndividual:
     id: int
     fitness: float
     characterisation: np.ndarray
-    novelty: float | None = None
     raw: np.ndarray | None = None  # untransformed vector, what the archive stores
 
 
 @dataclass
 class NoveltyArchive:
     """Sample of past individuals, stored untransformed so the current
-    generation's standardisation and weights can be re-applied."""
+    generation's standardisation and weights can be re-applied: `raw`
+    (A, L) holds the vectors and `generation` (A,) the generation each
+    joined in.  An empty archive takes the width of the first rows it
+    keeps."""
 
-    entries: list[tuple[np.ndarray, int]] = field(default_factory=list)
+    raw: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    generation: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.raw)
 
-    def add(self, raw: np.ndarray, generation: int) -> None:
-        self.entries.append((np.array(raw, dtype=float), generation))
-
-    def raw_matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, 0))
-        return np.stack([e[0] for e in self.entries])
-
-    def generations(self) -> list[int]:
-        return [e[1] for e in self.entries]
+    def sample(
+        self, raw: np.ndarray, rng: np.random.Generator, rate: float, generation: int
+    ) -> None:
+        """Append each row of `raw` with probability `rate`, one draw per row."""
+        if not (0.0 <= rate <= 1.0):
+            raise ValueError("rate must be in [0, 1]")
+        kept = np.asarray(raw, dtype=float)[rng.random(len(raw)) < rate]
+        if len(kept):
+            self.raw = np.concatenate([self.raw, kept]) if len(self.raw) else kept
+            self.generation = np.concatenate(
+                [self.generation, np.full(len(kept), generation, dtype=np.int64)]
+            )
 
 
 def novelty_scores(chars: np.ndarray, archive_view: np.ndarray, k: int) -> np.ndarray:
@@ -73,13 +78,8 @@ def update_archive(
     generation: int = 0,
 ) -> NoveltyArchive:
     """Append each individual's raw characterisation with probability `rate`."""
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError("rate must be in [0, 1]")
-    draws = rng.random(len(population))
-    for ind, u in zip(population, draws):
-        if u < rate:
-            raw = ind.raw if ind.raw is not None else ind.characterisation
-            archive.add(raw, generation)
+    raw = [ind.characterisation if ind.raw is None else ind.raw for ind in population]
+    archive.sample(np.array(raw, dtype=float), rng, rate, generation)
     return archive
 
 
@@ -128,20 +128,15 @@ def crowding_distance(front: Sequence[tuple[float, float]]) -> list[float]:
     return [float(d) for d in dist]
 
 
-def rank_population(individuals: Sequence[ScoredIndividual]) -> list[int]:
+def rank_population(fitness: np.ndarray, novelty: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Total order as indices: ascending front, descending crowding, then id."""
-    for ind in individuals:
-        if ind.novelty is None:
-            raise ValueError(f"individual {ind.id} has no novelty score")
-    points = [(ind.fitness, float(ind.novelty)) for ind in individuals]
-    keys: dict[int, tuple[int, float]] = {}
-    for front_idx, front in enumerate(non_dominated_sort(points)):
+    points = np.column_stack([fitness, novelty])
+    ids = np.asarray(ids)
+    front_of = np.empty(len(ids), dtype=np.int64)
+    crowding = np.empty(len(ids))
+    for f, front in enumerate(non_dominated_sort(points)):
         # id order makes crowding ties independent of the input ordering
-        members = sorted(front, key=lambda i: individuals[i].id)
-        crowd = crowding_distance([points[i] for i in members])
-        for i, c in zip(members, crowd):
-            keys[i] = (front_idx, c)
-    return sorted(
-        range(len(individuals)),
-        key=lambda i: (keys[i][0], -keys[i][1], individuals[i].id),
-    )
+        members = np.asarray(front)[np.argsort(ids[front], kind="stable")]
+        front_of[members] = f
+        crowding[members] = crowding_distance(points[members])
+    return np.lexsort((ids, -crowding, front_of))

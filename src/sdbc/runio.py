@@ -23,7 +23,8 @@ command line's trajectory and analysis files are written the same way.
 The checkpoint saves the population's arrays (`genomes`, `ids`,
 `has_result` and the `EvaluationResult` columns, zeros in rows that hold
 no result) under their own names, the best result's row under
-`best_`-prefixed names, and the archive, counters and MI weights;
+`best_`-prefixed names, the archive as the two arrays the GA holds
+(`archive_raw` and `archive_gens`), and the counters and MI weights;
 `restore_state` loads them back into the state unchanged.
 """
 
@@ -97,17 +98,7 @@ class RunWriter:
         self._timing_rows: list[list[str]] = []
 
     def append_generation(self, stats: GenerationStats) -> None:
-        self._gen_rows.append(
-            [
-                _fmt(stats.generation),
-                _fmt(stats.best_fitness),
-                _fmt(stats.mean_fitness),
-                _fmt(stats.best_id),
-                _fmt(stats.best_so_far),
-                _fmt(stats.archive_size),
-                _fmt(stats.evaluations),
-            ]
-        )
+        self._gen_rows.append([_fmt(getattr(stats, c)) for c in GENERATION_COLUMNS])
         self._timing_rows.append([_fmt(stats.generation), _fmt(stats.wall_time)])
         self._flush_generations()
 
@@ -168,11 +159,15 @@ class RunWriter:
         )
 
     def write_archive(self, archive: nov.NoveltyArchive) -> None:
-        width = len(archive.entries[0][0]) if len(archive) else 0
+        # an empty archive's file is the bare header, whatever its width
+        width = archive.raw.shape[1] if len(archive) else 0
         _write_csv(
             self.dir / "archive.csv",
             ("generation", *[f"raw_{i}" for i in range(width)]),
-            ([_fmt(gen)] + [_fmt(v) for v in raw] for raw, gen in archive.entries),
+            (
+                [_fmt(gen)] + [_fmt(v) for v in raw]
+                for gen, raw in zip(archive.generation, archive.raw)
+            ),
         )
 
     def write_best_genome(self, state: EvolutionState, task_name: str) -> None:
@@ -199,7 +194,6 @@ class RunWriter:
         best = state.best_result
         if best is None:
             best = EvaluationResult.zeros(1, n_char, state.trials)[0]
-        arch = state.archive.raw_matrix()
         arrays = dict(
             generation=state.generation,
             next_id=state.next_id,
@@ -207,8 +201,8 @@ class RunWriter:
             ids=state.ids,
             has_result=state.has_result,
             **vars(state.results),
-            archive_raw=arch if arch.size else np.zeros((0, n_char)),
-            archive_gens=np.array(state.archive.generations(), dtype=np.int64),
+            archive_raw=state.archive.raw,
+            archive_gens=state.archive.generation,
             best_so_far=state.best_so_far,
             best_generation=state.best_generation,
             best_genome=(
@@ -244,9 +238,7 @@ def restore_state(state: EvolutionState, run_dir: str | Path) -> None:
         state.has_result = data["has_result"]
         names = [f.name for f in fields(EvaluationResult)]
         state.results = EvaluationResult(**{name: data[name] for name in names})
-        state.archive = nov.NoveltyArchive()
-        for raw, gen in zip(data["archive_raw"], data["archive_gens"]):
-            state.archive.add(raw, int(gen))
+        state.archive = nov.NoveltyArchive(data["archive_raw"], data["archive_gens"])
         state.best_so_far = float(data["best_so_far"])
         state.best_generation = int(data["best_generation"])
         state.best_genome = data["best_genome"]

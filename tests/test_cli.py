@@ -259,10 +259,16 @@ class TestRun:
         assert capsys.readouterr().err == "error: invalid configuration: seed: must be >= 0\n"
         assert not out.exists()
 
-    def test_resume_continues_to_identical_logs(self, tmp_path):
+    @pytest.mark.parametrize("archive_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("method", ["fit", "ns-ts", "ns-sd+"])
+    def test_resume_continues_to_identical_logs(self, tmp_path, method, archive_rate):
         # both sides share `out`, so every run file but timing.csv must
-        # match: checkpoint arrays, archive, best genome and the dumps
-        cfg_path = write_config(tmp_path, dump_population=True)
+        # match: checkpoint arrays, archive, best genome and the dumps.
+        # The methods and rates cover empty archives, ns-ts's 4-wide rows
+        # and the 2F+1-wide SDBC rows through a checkpoint.
+        cfg_path = write_config(
+            tmp_path, {"novelty.archive_rate": archive_rate}, method=method, dump_population=True
+        )
         full = load_config(cfg_path)
         full.ga.generations = 5
         execute_run(full, tmp_path / "full/run_000")

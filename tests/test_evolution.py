@@ -96,7 +96,7 @@ class TestController:
         genomes = rng.normal(size=(5, SPEC.genome_length))
         stacked = StackedControllers(genomes, SPEC)
         x = rng.normal(size=(5 * 4, 3))
-        got = stacked(x)
+        got = stacked(x, np.repeat(np.arange(5), 4))
         for k in range(5):
             single = build_controller(genomes[k], SPEC)
             block = x[k * 4 : (k + 1) * 4]
@@ -110,7 +110,7 @@ class TestController:
         x = rng.normal(size=(6 * 5, SPEC.inputs))
         subset = np.sort(rng.choice(len(x), 13, replace=False))
         blocks = np.repeat(np.arange(6), 5)
-        assert np.array_equal(stacked(x[subset], blocks[subset]), stacked(x)[subset])
+        assert np.array_equal(stacked(x[subset], blocks[subset]), stacked(x, blocks)[subset])
         networks = rng.integers(0, 6, len(x))
         got = stacked(x, networks)
         for k in range(6):
@@ -119,6 +119,14 @@ class TestController:
             assert np.array_equal(got[rows], single(x[rows]))
             for i in np.nonzero(rows)[0]:
                 assert np.array_equal(got[i], single(x[i : i + 1])[0])
+
+    def test_several_networks_need_a_row_index(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(6, SPEC.inputs))
+        with pytest.raises(ValueError, match="row index"):
+            StackedControllers(rng.normal(size=(2, SPEC.genome_length)), SPEC)(x)
+        one = StackedControllers(rng.normal(size=(1, SPEC.genome_length)), SPEC)
+        assert np.array_equal(one(x), one(x, np.zeros(6, dtype=int)))
 
     def test_an_index_rewritten_in_place_is_read_afresh(self):
         # the gathered weights are kept while the row index stays equal, so

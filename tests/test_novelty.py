@@ -46,10 +46,9 @@ def novelty_score(
     return float(np.mean(dists[:k]))
 
 
-def individual(i, char, fitness=0.0, novelty=None):
+def individual(i, char, fitness=0.0):
     return ScoredIndividual(
-        id=i, fitness=fitness, characterisation=np.asarray(char, dtype=float),
-        novelty=novelty,
+        id=i, fitness=fitness, characterisation=np.asarray(char, dtype=float)
     )
 
 
@@ -118,7 +117,7 @@ class TestArchive:
         pop = [individual(i, [float(i)]) for i in range(100)]
         update_archive(archive, pop, np.random.default_rng(0), 1.0, generation=3)
         assert len(archive) == 100
-        assert archive.generations() == [3] * 100
+        assert archive.generation.tolist() == [3] * 100
 
     def test_growth_within_binomial_bounds(self):
         rate, pop_size, gens = 0.025, 100, 250
@@ -137,7 +136,7 @@ class TestArchive:
         ind = individual(0, [9.0, 9.0])
         ind.raw = np.array([1.0, 2.0])
         update_archive(archive, [ind], np.random.default_rng(1), 1.0)
-        assert archive.raw_matrix()[0] == pytest.approx([1.0, 2.0])
+        assert archive.raw[0] == pytest.approx([1.0, 2.0])
 
     def test_deterministic_given_seed(self):
         pop = [individual(i, [float(i)]) for i in range(50)]
@@ -145,8 +144,35 @@ class TestArchive:
         for _ in range(2):
             archive = NoveltyArchive()
             update_archive(archive, pop, np.random.default_rng(99), 0.3)
-            sizes.append([tuple(e[0]) for e in archive.entries])
+            sizes.append(archive.raw.tolist())
         assert sizes[0] == sizes[1]
+
+    def test_arrays_take_the_first_rows_width_and_tag_each_row(self):
+        archive = NoveltyArchive(np.zeros((0, 7)))
+        rng = np.random.default_rng(3)
+        archive.sample(np.ones((20, 4)), rng, 0.0, generation=0)
+        assert archive.raw.shape == (0, 7)  # a draw that adds nothing keeps it
+        assert archive.generation.dtype == np.int64
+        first = np.arange(40.0).reshape(10, 4)
+        archive.sample(first, rng, 1.0, generation=1)
+        second = -np.arange(12.0).reshape(3, 4)
+        archive.sample(second, rng, 1.0, generation=5)
+        assert np.array_equal(archive.raw, np.vstack([first, second]))
+        assert archive.generation.tolist() == [1] * 10 + [5] * 3
+        assert archive.generation.dtype == np.int64
+        assert len(archive) == 13
+
+    def test_sample_draws_one_uniform_per_row(self):
+        raw = np.arange(30.0).reshape(10, 3)
+        archive = NoveltyArchive()
+        archive.sample(raw, np.random.default_rng(8), 0.4, generation=2)
+        keep = np.random.default_rng(8).random(10) < 0.4
+        assert np.array_equal(archive.raw, raw[keep])
+        assert 0 < keep.sum() < 10
+
+    def test_rate_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError):
+            NoveltyArchive().sample(np.zeros((2, 2)), np.random.default_rng(0), 1.5, 0)
 
 
 def dominance_oracle(points):
@@ -244,44 +270,56 @@ class TestCrowdingDistance:
                     assert g == pytest.approx(r, abs=1e-12)
 
 
+def ranked_by_objects(fitness, novelty, ids):
+    """The ranking as it was written before it took columns, one Python
+    sort over per-individual keys, frozen as the oracle for
+    `rank_population`: crowding within each front over its members in id
+    order, then the order (front, -crowding, id)."""
+    points = [(float(f), float(n)) for f, n in zip(fitness, novelty)]
+    keys = {}
+    for front_idx, front in enumerate(non_dominated_sort(points)):
+        members = sorted(front, key=lambda i: ids[i])
+        crowd = crowding_distance([points[i] for i in members])
+        for i, c in zip(members, crowd):
+            keys[i] = (front_idx, c)
+    return sorted(range(len(points)), key=lambda i: (keys[i][0], -keys[i][1], ids[i]))
+
+
 class TestRankPopulation:
     def test_front_zero_precedes_front_one(self):
-        pop = [
-            individual(0, [0], fitness=1, novelty=0.0),
-            individual(1, [0], fitness=0, novelty=1.0),
-            individual(2, [0], fitness=1, novelty=1.0),
-            individual(3, [0], fitness=0, novelty=0.0),
-        ]
-        order = rank_population(pop)
+        order = rank_population(
+            np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0, 0.0]), np.arange(4)
+        )
         assert order[0] == 2
         assert order[-1] == 3
 
     def test_boundary_precedes_interior_within_front(self):
         # one front, evenly spaced trade-off line
-        pop = [
-            individual(0, [0], fitness=0.0, novelty=3.0),
-            individual(1, [0], fitness=1.0, novelty=2.0),
-            individual(2, [0], fitness=2.0, novelty=1.0),
-            individual(3, [0], fitness=3.0, novelty=0.0),
-        ]
-        order = rank_population(pop)
-        assert set(order[:2]) == {0, 3}
+        order = rank_population(
+            np.array([0.0, 1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0, 0.0]), np.arange(4)
+        )
+        assert set(order[:2].tolist()) == {0, 3}
 
     def test_total_order_is_permutation_and_shuffle_stable(self):
         rng = np.random.default_rng(37)
-        pop = [
-            individual(i, [0], fitness=float(rng.integers(0, 4)),
-                       novelty=float(rng.integers(0, 4)))
-            for i in range(30)
-        ]
-        order = rank_population(pop)
-        assert sorted(order) == list(range(30))
-        ranked_ids = [pop[i].id for i in order]
-        perm = list(rng.permutation(30))
-        shuffled = [pop[i] for i in perm]
-        order2 = rank_population(shuffled)
-        assert [shuffled[i].id for i in order2] == ranked_ids
+        fitness = rng.integers(0, 4, 30).astype(float)
+        novelty = rng.integers(0, 4, 30).astype(float)
+        ids = np.arange(30)
+        order = rank_population(fitness, novelty, ids)
+        assert sorted(order.tolist()) == list(range(30))
+        perm = rng.permutation(30)
+        order2 = rank_population(fitness[perm], novelty[perm], ids[perm])
+        assert ids[perm][order2].tolist() == ids[order].tolist()
 
-    def test_missing_novelty_rejected(self):
-        with pytest.raises(ValueError):
-            rank_population([individual(0, [0], fitness=1.0, novelty=None)])
+    def test_matches_the_object_based_ranking(self):
+        rng = np.random.default_rng(41)
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            levels = int(rng.integers(1, 6))  # few levels: many ties
+            fitness = rng.integers(0, levels, n) / levels
+            novelty = rng.integers(0, levels, n) * 0.7
+            if trial % 2:
+                fitness = fitness + rng.normal(size=n)
+            ids = rng.permutation(1000)[:n] + 50
+            order = rank_population(fitness, novelty, ids)
+            assert order.tolist() == ranked_by_objects(fitness, novelty, ids.tolist())
