@@ -7,8 +7,9 @@ Each configuration is digested twice: a small population through
 characterisations, per-trial fitness), and one genome's trials through
 `Task.simulate(..., record=True)` (steps, fitness, characterisations,
 per-step features and every recorded state array).  The configurations
-cover every task, both feature layouts, spawn clearance, one robot and
-the 8-or-more-robot sizes at which NumPy switches to pairwise summation.
+cover every task, both feature layouts, spawn clearance, one robot, the
+8-or-more-robot sizes at which NumPy switches to pairwise summation, and
+gate trials that end with every robot escaped.
 
     python3 scripts/trajectory_digests.py > after.txt
     (cd ../parent && python3 scripts/trajectory_digests.py) > before.txt
@@ -34,6 +35,10 @@ GENOMES, TRIALS = 6, 4  # the population of each configuration
 FAST_GATE = {"max_steps": 150, "v_max": 0.4, "gate_width": 0.6, "gate_close_delay": 5,
              "grace_steps": 5}
 SLOW_PREY = {"max_steps": 150, "prey_speed_factor": 0.3}
+# one robot and a wide gate that closes late: most trials end on the step
+# their last robot escapes, so the agents group is empty on the final step
+OPEN_GATE = {"n_robots": 1, "gate_width": 1.0, "v_max": 0.4, "max_steps": 400,
+             "gate_close_delay": 300}
 
 CONFIGS = [
     ("resource_sharing", {}),
@@ -54,6 +59,7 @@ CONFIGS = [
     ("predator_prey", {**SLOW_PREY, "n_predators": 1}),
     ("predator_prey", {**SLOW_PREY, "n_predators": 8}),
     ("predator_prey", {**SLOW_PREY, "n_predators": 8, "published_layout": False}),
+    ("gate_escape", OPEN_GATE),  # last, so the seeds of the others keep their index
 ]
 
 

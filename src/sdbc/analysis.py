@@ -19,6 +19,12 @@ import numpy as np
 
 from .runio import _replace_file
 
+SOM_LR_START, SOM_LR_END = 0.5, 0.02  # learning rate over the presentations
+SOM_RADIUS_END = 0.2  # final neighbourhood radius, in grid cells
+BMU_CHUNK = 4096  # samples per block of the (block, cells, dim) difference array
+EXACT_MAX_N = 8  # largest sample size that gets Mann-Whitney's exact p
+SVG_CELL_PX = 40
+
 
 @dataclass
 class SomGrid:
@@ -28,17 +34,14 @@ class SomGrid:
     height: int
     prototypes: np.ndarray  # (width * height, dim)
 
-    def bmu(self, x: np.ndarray) -> int:
-        """Best-matching unit; ties break toward the lowest cell index."""
-        d = ((self.prototypes - x) ** 2).sum(axis=1)
-        return int(d.argmin())
-
-    def bmu_batch(self, xs: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    def bmu_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Best-matching unit of each sample; ties break toward the lowest
+        cell index."""
         out = np.empty(len(xs), dtype=int)
-        for start in range(0, len(xs), chunk):
-            block = xs[start : start + chunk]
+        for start in range(0, len(xs), BMU_CHUNK):
+            block = xs[start : start + BMU_CHUNK]
             sq = ((block[:, None, :] - self.prototypes[None, :, :]) ** 2).sum(axis=2)
-            out[start : start + chunk] = sq.argmin(axis=1)
+            out[start : start + BMU_CHUNK] = sq.argmin(axis=1)
         return out
 
     def quantization_error(self, xs: np.ndarray) -> float:
@@ -52,9 +55,6 @@ def train_som(
     height: int,
     epochs: int,
     rng: np.random.Generator,
-    lr_start: float = 0.5,
-    lr_end: float = 0.02,
-    radius_end: float = 0.2,
 ) -> SomGrid:
     """Classic online SOM training, deterministic for a given generator.
 
@@ -75,8 +75,8 @@ def train_som(
         for idx in rng.permutation(n):
             x = samples[idx]
             frac = step / total
-            lr = lr_start * (lr_end / lr_start) ** frac
-            radius = radius_start * (radius_end / radius_start) ** frac
+            lr = SOM_LR_START * (SOM_LR_END / SOM_LR_START) ** frac
+            radius = radius_start * (SOM_RADIUS_END / radius_start) ** frac
             d = ((protos - x) ** 2).sum(axis=1)
             bmu = int(d.argmin())
             grid_sq = ((coords - coords[bmu]) ** 2).sum(axis=1)
@@ -154,11 +154,10 @@ def mann_whitney_u(
     a: Sequence[float],
     b: Sequence[float],
     alternative: str = "two-sided",
-    exact_max_n: int = 8,
 ) -> tuple[float, float]:
     """Mann-Whitney U (for sample a) with a tie-corrected p-value.
 
-    Small samples (both sizes <= `exact_max_n`) get an exact p by
+    Small samples (both sizes <= `EXACT_MAX_N`) get an exact p by
     enumerating all group assignments of the pooled values; larger samples
     use the normal approximation with tie correction and continuity
     correction.
@@ -175,7 +174,7 @@ def mann_whitney_u(
     offset = n1 * (n1 + 1) / 2.0
     u1 = ranks[:n1].sum() - offset
 
-    if n1 <= exact_max_n and n2 <= exact_max_n:
+    if n1 <= EXACT_MAX_N and n2 <= EXACT_MAX_N:
         # U of every assignment of n1 pooled values to sample a; the ranks
         # are half-integers, so every sum and count is exact
         groups = np.array(list(itertools.combinations(range(n1 + n2), n1)))
@@ -221,11 +220,10 @@ def write_som_svg(
     grid: SomGrid,
     counts: np.ndarray,
     best_cell: int | None = None,
-    cell_px: int = 40,
     title: str = "",
 ) -> None:
     """Self-contained SVG heat map: circle area encodes per-cell count."""
-    w, h = grid.width, grid.height
+    w, h, cell_px = grid.width, grid.height, SVG_CELL_PX
     pad = 10
     top = 24 if title else 0
     width_px = w * cell_px + 2 * pad

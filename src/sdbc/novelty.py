@@ -84,28 +84,21 @@ def update_archive(
 
 
 def non_dominated_sort(points: Sequence[tuple[float, float]]) -> list[list[int]]:
-    """Sort objective pairs (both maximised) into Pareto fronts of indices."""
-    n = len(points)
-    if n == 0:
-        return []
-    f = np.asarray(points, dtype=float)
-    # dominated[i][j]: i dominates j
-    ge = (f[:, None, :] >= f[None, :, :]).all(axis=2)
-    gt = (f[:, None, :] > f[None, :, :]).any(axis=2)
-    dominates = ge & gt
-    dom_count = dominates.sum(axis=0)
+    """Sort objective pairs (both maximised) into Pareto fronts of indices,
+    each front in ascending index order."""
+    f = np.asarray(points, dtype=float).reshape(-1, 2)
+    # dominates[i, j]: i dominates j
+    dominates = (f[:, None, :] >= f[None, :, :]).all(axis=2) & (
+        f[:, None, :] > f[None, :, :]
+    ).any(axis=2)
+    count = dominates.sum(axis=0)  # dominators not yet peeled off
+    left = np.ones(len(f), dtype=bool)
     fronts: list[list[int]] = []
-    remaining = dom_count.copy()
-    current = [i for i in range(n) if remaining[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt: list[int] = []
-        for i in current:
-            for j in np.nonzero(dominates[i])[0]:
-                remaining[j] -= 1
-                if remaining[j] == 0:
-                    nxt.append(int(j))
-        current = sorted(nxt)
+    while left.any():
+        front = np.flatnonzero(left & (count == 0))
+        fronts.append(front.tolist())
+        left[front] = False
+        count -= dominates[front].sum(axis=0)
     return fronts
 
 

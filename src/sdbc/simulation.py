@@ -242,20 +242,32 @@ def resolve_collisions_arrays(
 
 
 def range_bearing_arrays(
-    ox: np.ndarray,
-    oy: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
     heading: np.ndarray,
-    tx: np.ndarray,
-    ty: np.ndarray,
     max_range: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalised range, relative bearing, and a sensed mask for arrays."""
-    dx = tx - ox
-    dy = ty - oy
-    dist = np.sqrt(dx * dx + dy * dy)
+    dist: np.ndarray | None = None,
+    *,
+    out: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The range/bearing sensor reading of targets at offsets (dx, dy) from
+    observers facing `heading`, written to the (..., 2) columns `out`
+    (range / max_range, relative bearing / pi); returns `out` and the mask
+    of targets sensed.
+
+    A target beyond `max_range` reads as range 1, bearing 0.  `dist` is a
+    distance the caller has already measured, inf for an absent target;
+    without it the routine measures sqrt(dx^2 + dy^2).  `out` is two
+    columns of the caller's sensor array: written one column at a time,
+    they cost less than a (..., 2) block copied in.
+    """
+    if dist is None:
+        dist = np.sqrt(dx * dx + dy * dy)
     sensed = dist <= max_range
     bearing = normalize_angle(np.arctan2(dy, dx) - heading)
-    return dist / max_range, bearing, sensed
+    out[..., 0] = np.where(sensed, dist / max_range, 1.0)
+    out[..., 1] = np.where(sensed, bearing / math.pi, 0.0)
+    return out, sensed
 
 
 def square_arena(size: float) -> Arena:

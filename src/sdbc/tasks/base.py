@@ -4,24 +4,25 @@ loop all of them run, and the one behaviour-feature extractor.
 `Task.simulate` advances a batch of trials step by step: sense, act
 through the controller, mask the wheels of robots that no longer move,
 move, resolve collisions, apply the task's position constraint, measure
-the robot-robot distances, apply the task's own rules, then write the
-step's behaviour features and add them to the trial's running total.
-The distance matrix `dist` is measured once per step, after every
-position change of that step, and once after the reset; the step's rules
-and features read it, and so do the next step's sensors, which see the
-positions the previous step left.  A task supplies only its initial
-state (`_reset`), its position constraint (`_constrain`), its sensors,
-its step rules (`_step`), its group view (`_groups`), the running sums it
-reads from the step's feature row (`_tally`) and its fitness and
-task-specific characterisation (`_finish`).  Per-trial working state lives
-in one namespace of arrays with the live trials on the leading axis, so
-the loop can compact it: when a trial ends, its final state (feature total
-and last feature row included) is stored in full-size results and its row
-is dropped from every working array, and later steps simulate the live
-trials only.  Each trial's raw characterisation is aggregated from that
-total and last row as the loop ends, so no per-step array is needed.  The
-per-step features and raw state are kept only when
-`simulate(..., record=True)` asks for them.
+the robot-robot distances, apply the task's own rules, then add the
+previous step's behaviour features to the trial's running total and
+write this step's.  The distance matrix `dist` is measured once per step,
+after every position change of that step, and once after the reset; the
+step's rules and features read it, and so do the next step's sensors,
+which see the positions the previous step left.  A task supplies only
+its initial state (`_reset`), its position constraint (`_constrain`), its
+sensors, its step rules (`_step`), its group view (`_groups`) and its
+fitness and task-specific characterisation (`_finish`); every sensor
+encodes its range and bearing through `simulation.range_bearing_arrays`.
+Per-trial working state lives in one namespace of arrays with the live
+trials on the leading axis, so the loop can compact it: when a trial
+ends, its final state (feature total and last feature row included) is
+stored in full-size results and its row is dropped from every working
+array, and later steps simulate the live trials only.  Each trial's raw
+characterisation is aggregated from that total and last row as the loop
+ends, so no per-step array is needed, and `_finish` reads its feature
+means from them too (`Task.feature_mean`).  The per-step features and
+raw state are kept only when `simulate(..., record=True)` asks for them.
 
 The group view is the task's formal description of one step: for each
 declared `GroupSpec`, which slots are members and their attribute
@@ -55,8 +56,9 @@ from ..formalism import (
 )
 from ..characterisation import aggregate_batch, characterisation_schema
 from ..simulation import (
+    any_last_axis,
     count_last_axis,
-    normalize_angle,
+    range_bearing_arrays,
     resolve_collisions_arrays,
     step_kinematics_arrays,
     sum_last_axis,
@@ -174,7 +176,7 @@ class Task:
         if networks is not None:
             s.network = np.repeat(np.asarray(networks), n).reshape(b, n)
         s.feature_row = np.zeros((b, n_features))  # each live trial's last feature row
-        s.feature_total = np.zeros((b, n_features))  # and the sum of its rows so far
+        s.feature_total = np.zeros((b, n_features))  # and the sum of the rows before it
         live = np.arange(b)
         steps = np.full(b, tau)
         final: dict[str, np.ndarray] = {}
@@ -201,9 +203,8 @@ class Task:
             s.pos = self._constrain(s, t, move)
             s.dist = pairwise_distances(s.pos[..., 0], s.pos[..., 1])
             ending = self._step(s, t, move)
+            s.feature_total += s.feature_row  # the row of the step before
             write_features(s.feature_row, self._groups(s), specs, excluded)
-            s.feature_total += s.feature_row
-            self._tally(s, s.feature_row)
             if record:
                 frame = {key: getattr(s, key) for key in self.record_keys}
                 frames.append((live, frame | {"features": s.feature_row.copy()}))
@@ -221,7 +222,9 @@ class Task:
         batch = TrialBatch(
             steps=steps,
             fitness=fitness,
-            raw=aggregate_batch(final["feature_total"], final["feature_row"], steps, tau),
+            raw=aggregate_batch(
+                final["feature_total"] + final["feature_row"], final["feature_row"], steps, tau
+            ),
             ts_chars=np.clip(ts, 0.0, 1.0),
         )
         if record:
@@ -256,18 +259,26 @@ class Task:
         `group_specs()` entry, in order (see `GroupView`)."""
         raise NotImplementedError
 
-    def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
-        """Add the step to running sums of `s` that read its (B, F) feature
-        `row`, written after `_step`.  The default keeps none.  A column
-        index is best looked up by name on the first call, when the loop
-        has already checked the row against the schema."""
-
     def _finish(
         self, s: SimpleNamespace, steps: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fitness and task-specific characterisation from every trial's
-        final state."""
+        final state and its (B,) step counts.  `s.feature_total` holds the
+        sum of each trial's feature rows but the last, and `s.feature_row`
+        the last; `feature_mean` averages a column of them."""
         raise NotImplementedError
+
+    def feature_mean(
+        self, s: SimpleNamespace, steps: np.ndarray, name: str, mask: np.ndarray
+    ) -> np.ndarray:
+        """(B,) mean of the feature column `name` over each trial's steps,
+        leaving out a final step on which the (B, N) group `mask` is empty
+        (the column then only carries the step before forward).  A trial
+        ends on the step its mask empties, so no earlier step is left out."""
+        c = self.feature_names().index(name)
+        last = any_last_axis(mask)
+        total = s.feature_total[:, c] + s.feature_row[:, c] * last
+        return total / np.maximum(steps - 1 + last, 1)
 
     def snapshot(self, rec: dict, trial: int, step: int) -> TaskStateSnapshot:
         """Formal task-state view of one recorded trial step: the group
@@ -470,10 +481,9 @@ def nearest_neighbor_sensor(
         nd = flat[at]
         flat[at] = np.inf  # the chosen peer leaves the next slot's candidates
         peer = first + nearest
-        sensed = np.isfinite(nd) & (nd <= sense_range)
-        bearing = normalize_angle(np.arctan2(y[peer] - y, x[peer] - x) - h)
-        out[:, 2 * k] = np.where(sensed, nd / sense_range, 1.0)
-        out[:, 2 * k + 1] = np.where(sensed, bearing / np.pi, 0.0)
+        range_bearing_arrays(
+            x[peer] - x, y[peer] - y, h, sense_range, nd, out=out[:, 2 * k : 2 * k + 2]
+        )
     return out.reshape(b, n, 2 * slots)
 
 

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from ..formalism import GEOM_POINT, GEOM_SEGMENTS, GroupSpec
-from ..simulation import any_last_axis, count_last_axis, range_bearing_arrays
+from ..simulation import count_last_axis, range_bearing_arrays
 from .base import GroupView, Task, nearest_neighbor_sensor, spawn_in_box
 
 
@@ -93,8 +92,6 @@ class GateEscapeTask(Task):
             active=np.ones((b, n), dtype=bool),
             first_pass=np.full(b, -1, dtype=int),
             escaped=np.zeros(b, dtype=int),
-            gate_sum=np.zeros(b),
-            gate_count=np.zeros(b, dtype=int),
             disp_sum=np.zeros(b),
         )
 
@@ -102,12 +99,11 @@ class GateEscapeTask(Task):
         p = self.params
         pos, heading = s.pos, s.heading
         x = np.empty(pos.shape[:2] + (6,))
-        gr, gb, _ = range_bearing_arrays(
-            pos[..., 0], pos[..., 1], heading,
-            self.gate_center[0], self.gate_center[1], self.diagonal,
+        # every robot is within the diagonal of the gate, so always senses it
+        range_bearing_arrays(
+            self.gate_center[0] - pos[..., 0], self.gate_center[1] - pos[..., 1], heading,
+            self.diagonal, out=x[..., 0:2],
         )
-        x[..., 0] = gr
-        x[..., 1] = gb / math.pi
         x[..., 2:4] = nearest_neighbor_sensor(
             pos, heading, s.dist, s.active, p.neighbor_sense, 1
         )
@@ -155,22 +151,12 @@ class GateEscapeTask(Task):
         )
         return (n_active == 0) | closed_out
 
-    @cached_property
-    def _gate_column(self) -> int:
-        return self.feature_names().index("agents-gate distance")
-
-    def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
-        # the feature column is the active robots' mean gate distance,
-        # defined where any robot is active
-        active = any_last_axis(s.active)
-        s.gate_sum += row[:, self._gate_column] * active
-        s.gate_count += active
-
     def _finish(self, s: SimpleNamespace, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = self.params
         fitness = gate_fitness(s.escaped, steps, p.max_steps, p.n_robots)
-        # every trial counts each of its steps in the dispersion mean
-        mean_gate = s.gate_sum / np.maximum(s.gate_count, 1)
+        # the gate distance of the steps with a robot inside; every trial
+        # counts each of its steps in the dispersion mean
+        mean_gate = self.feature_mean(s, steps, "agents-gate distance", s.active)
         mean_disp = s.disp_sum / np.maximum(steps, 1)
         opened = np.where(s.first_pass >= 0, (s.first_pass + 1) / p.max_steps, 1.0)
         ts = np.stack(

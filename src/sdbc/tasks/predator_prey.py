@@ -16,6 +16,7 @@ from ..simulation import (
     count_last_axis,
     min_last_axis,
     normalize_angle,
+    range_bearing_arrays,
     sum_axis1,
     sum_last_axis,
 )
@@ -113,13 +114,12 @@ class PredatorPreyTask(Task):
         p = self.params
         pos, heading, prey = s.pos, s.heading, s.prey
         x = np.empty(pos.shape[:2] + (6,))
-        dx = prey[:, None, 0] - pos[..., 0]
-        dy = prey[:, None, 1] - pos[..., 1]
-        dist = s.prey_dist  # hypot(-dx, -dy), measured after the last move
-        sensed = s.present[:, None] & (dist <= p.predator_sense)
-        bearing = normalize_angle(np.arctan2(dy, dx) - heading)
-        x[..., 0] = np.where(sensed, dist / p.predator_sense, 1.0)
-        x[..., 1] = np.where(sensed, bearing / math.pi, 0.0)
+        # the hypot distance measured after the last move; a caught prey is absent
+        dist = np.where(s.present[:, None], s.prey_dist, np.inf)
+        range_bearing_arrays(
+            prey[:, None, 0] - pos[..., 0], prey[:, None, 1] - pos[..., 1], heading,
+            p.predator_sense, dist, out=x[..., 0:2],
+        )
         x[..., 2:6] = nearest_neighbor_sensor(
             pos, heading, s.dist, s.active, p.predator_sense, 2
         )

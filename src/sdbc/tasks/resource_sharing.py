@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from ..formalism import GEOM_POINT, GroupSpec
-from ..simulation import any_last_axis, count_last_axis, range_bearing_arrays, sum_last_axis
+from ..simulation import count_last_axis, range_bearing_arrays, sum_last_axis
 from .base import GroupView, Task, nearest_neighbor_sensor, spawn_in_box
 
 
@@ -92,8 +91,6 @@ class ResourceSharingTask(Task):
             energy_integral=np.zeros(b),
             speed_sum=np.zeros(b),
             alive_steps=np.zeros(b),
-            station_sum=np.zeros(b),
-            station_count=np.zeros(b, dtype=int),
         )
 
     def _sensors(self, s: SimpleNamespace) -> np.ndarray:
@@ -101,12 +98,10 @@ class ResourceSharingTask(Task):
         pos, heading = s.pos, s.heading
         x = np.empty(pos.shape[:2] + (6,))
         x[..., 0] = s.energy / p.e_max
-        sr, sb, seen = range_bearing_arrays(
-            pos[..., 0], pos[..., 1], heading,
-            self.station[0], self.station[1], p.station_sense,
+        _, seen = range_bearing_arrays(
+            self.station[0] - pos[..., 0], self.station[1] - pos[..., 1], heading,
+            p.station_sense, out=x[..., 1:3],
         )
-        x[..., 1] = np.where(seen, sr, 1.0)
-        x[..., 2] = np.where(seen, sb / math.pi, 0.0)
         x[..., 3] = np.where(seen, (s.occupant >= 0).astype(float)[:, None], 0.0)
         x[..., 4:6] = nearest_neighbor_sensor(
             pos, heading, s.dist, s.alive, p.neighbor_sense, 1
@@ -160,17 +155,6 @@ class ResourceSharingTask(Task):
         s.occupied = (s.occupant >= 0).astype(float)
         return n_alive == 0
 
-    @cached_property
-    def _station_column(self) -> int:
-        return self.feature_names().index("agents-station distance")
-
-    def _tally(self, s: SimpleNamespace, row: np.ndarray) -> None:
-        # the feature column is the alive robots' mean station distance,
-        # defined where any robot is alive
-        alive = any_last_axis(s.alive)
-        s.station_sum += row[:, self._station_column] * alive
-        s.station_count += alive
-
     def _groups(self, s: SimpleNamespace) -> tuple[GroupView, ...]:
         """The alive robots form the agents group; the station is a point."""
         return (
@@ -191,7 +175,8 @@ class ResourceSharingTask(Task):
         survivors = s.alive.sum(axis=1)
         mean_energy = s.energy_integral / (n * p.max_steps)
         fitness = sharing_fitness(survivors, mean_energy, p.e_max, n)
-        mean_station = s.station_sum / np.maximum(s.station_count, 1)
+        # the station distance of the steps with a robot alive
+        mean_station = self.feature_mean(s, steps, "agents-station distance", s.alive)
         ts = np.stack(
             [
                 survivors / n,

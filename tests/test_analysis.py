@@ -52,7 +52,7 @@ class TestSomTraining:
 
     def test_bmu_tie_breaks_to_lowest_index(self):
         grid = SomGrid(width=2, height=1, prototypes=np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert grid.bmu(np.array([0.0, 0.0])) == 0
+        assert grid.bmu_batch(np.array([[0.0, 0.0]])).tolist() == [0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -38,12 +38,15 @@ def step(x, y, heading, left, right):
 
 
 def sense(observer, target, max_range):
-    """Range, bearing and sensed flag from one observer pose (x, y,
-    heading) to one target point, as a one-row batch."""
-    r, b, sensed = range_bearing_arrays(
-        *(np.array([v], dtype=float) for v in (*observer, *target)), max_range
+    """The reading (range / max_range, bearing / pi) and the sensed flag
+    from one observer pose (x, y, heading) to one target point, as a
+    one-row batch."""
+    (ox, oy, heading), (tx, ty) = observer, target
+    reading, sensed = range_bearing_arrays(
+        np.array([tx - ox]), np.array([ty - oy]), np.array([heading]), max_range,
+        out=np.empty((1, 2)),
     )
-    return float(r[0]), float(b[0]), bool(sensed[0])
+    return float(reading[0, 0]), float(reading[0, 1]), bool(sensed[0])
 
 
 def resolve_one(points, walls):
@@ -299,7 +302,7 @@ class TestSensing:
         assert b == pytest.approx(0.0, abs=1e-12)
 
     def test_beyond_range_not_sensed(self):
-        assert not sense((0.0, 0.0, 0.0), (3.0, 0.0), 2.0)[2]
+        assert sense((0.0, 0.0, 0.0), (3.0, 0.0), 2.0) == (1.0, 0.0, False)
 
     @given(
         st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3),
@@ -313,7 +316,65 @@ class TestSensing:
         assert r == pytest.approx(dist / 10.0, abs=1e-9)
         expected = math.atan2(ty - oy, tx - ox) - heading
         expected = (expected + math.pi) % (2 * math.pi) - math.pi
-        assert b == pytest.approx(expected, abs=1e-9)
+        assert b == pytest.approx(expected / math.pi, abs=1e-9)
+
+    def test_matches_the_four_encodings_it_replaced(self):
+        # frozen copies of the range/bearing encodings that sharing's station
+        # sensor, gate's gate sensor, the nearest-neighbour sensor and
+        # pursuit's prey sensor each wrote before they shared this routine
+        rng = np.random.default_rng(19)
+        r, n = 1.5, 5000
+        ox, oy = rng.uniform(0.0, 2.0, (2, n))
+        tx, ty = ox + rng.uniform(-3.0, 3.0, n), oy + rng.uniform(-3.0, 3.0, n)
+        heading = rng.uniform(-math.pi, math.pi, n)
+        # targets exactly at the range, just beyond it, and on the observer
+        ox[:5] = oy[:5] = 0.0
+        tx[:5] = (r, 0.0, -r, np.nextafter(r, np.inf), 0.0)
+        ty[:5] = (0.0, -r, 0.0, 0.0, 0.0)
+        present = rng.uniform(size=n) < 0.7
+        present[:4] = True
+        dx, dy = tx - ox, ty - oy
+
+        def read(*args):
+            return range_bearing_arrays(*args, out=np.empty((n, 2)))
+
+        def bits(reading, sensed, old_range, old_bearing, old_sensed):
+            assert reading[:, 0].tobytes() == old_range.tobytes()
+            assert reading[:, 1].tobytes() == old_bearing.tobytes()
+            assert np.array_equal(sensed, old_sensed)
+
+        # the station sensor: the old routine's columns, masked by the task
+        dist = np.sqrt(dx * dx + dy * dy)
+        seen = dist <= r
+        bearing = normalize_angle(np.arctan2(dy, dx) - heading)
+        assert seen[:3].all() and not seen[3] and 0 < seen.sum() < n
+        reading, sensed = read(dx, dy, heading, r)
+        bits(reading, sensed, np.where(seen, dist / r, 1.0),
+             np.where(seen, bearing / math.pi, 0.0), seen)
+        # the same columns written into two columns of a wider sensor array
+        wide = np.zeros((n, 4))
+        written, _ = range_bearing_arrays(dx, dy, heading, r, out=wide[:, 1:3])
+        assert written.base is wide and wide[:, 1:3].tobytes() == reading.tobytes()
+        assert not wide[:, 0::3].any()
+        # the gate sensor used the old columns unmasked: its gate is always
+        # within range, where they agree
+        bits(reading[seen], sensed[seen], dist[seen] / r, bearing[seen] / math.pi, seen[seen])
+
+        # the neighbour sensor: its own peer distances, inf for an absent peer
+        nd = np.where(present, np.sqrt((ox - tx) * (ox - tx) + (oy - ty) * (oy - ty)), np.inf)
+        ok = np.isfinite(nd) & (nd <= r)
+        bearing = normalize_angle(np.arctan2(ty - oy, tx - ox) - heading)
+        reading, sensed = read(tx - ox, ty - oy, heading, r, nd)
+        bits(reading, sensed, np.where(ok, nd / r, 1.0), np.where(ok, bearing / np.pi, 0.0), ok)
+
+        # the prey sensor: a hypot distance, and an absent (caught) prey
+        prey_dist = np.hypot(ox - tx, oy - ty)
+        ok = present & (prey_dist <= r)
+        bearing = normalize_angle(np.arctan2(dy, dx) - heading)
+        assert ok[:3].all() and not ok[3]
+        reading, sensed = read(dx, dy, heading, r, np.where(present, prey_dist, np.inf))
+        bits(reading, sensed, np.where(ok, prey_dist / r, 1.0),
+             np.where(ok, bearing / math.pi, 0.0), ok)
 
     def test_rejects_bad_range(self):
         # every sensor range is checked where it enters: at task construction

@@ -562,6 +562,47 @@ def test_recording_does_not_change_results(name, overrides, oracle):
     assert recorded.ts_chars == pytest.approx(expected, abs=1e-12)
 
 
+def tallied_mean_reference(features, column, mask, steps):
+    """Per trial, the mean of feature `column` over its steps whose (T, B, N)
+    `mask` has a member, summed step by step as the tasks once tallied it
+    inside the loop; frozen here as the reference for `Task.feature_mean`."""
+    total, count = np.zeros(len(steps)), np.zeros(len(steps), dtype=int)
+    for t in range(steps.max()):
+        on = (t < steps) & mask[t].any(axis=-1)
+        total[on] += features[t, on, column]
+        count += on
+    return total / np.maximum(count, 1)
+
+
+@pytest.mark.parametrize(
+    "name,overrides,mask_key,feature,ts_index,scale",
+    [
+        ("resource_sharing", {"max_steps": 150, "start_energy": 12.0}, "alive",
+         "agents-station distance", 3, "station_reach"),
+        ("gate_escape", {"n_robots": 1, "gate_width": 1.0, "v_max": 0.4, "max_steps": 400,
+                         "gate_close_delay": 300}, "active",
+         "agents-gate distance", 2, "diagonal"),
+    ],
+    ids=["sharing-extinction", "gate-all-escaped"],
+)
+def test_feature_means_match_the_per_step_tally(
+    name, overrides, mask_key, feature, ts_index, scale
+):
+    task = make_task(name, overrides)
+    spec = ControllerSpec(task.n_inputs, 6, task.n_outputs)
+    genomes = np.random.default_rng(4).uniform(-3, 3, (10, spec.genome_length))
+    networks = np.repeat(np.arange(10), 10)
+    batch = task.simulate(StackedControllers(genomes, spec), list(range(100)), networks=networks)
+    steps, mask = batch.steps, batch.record[mask_key]
+    emptied = ~mask[steps - 1, np.arange(len(steps))].any(axis=-1)
+    # trials that end on the step their group empties, and trials that do not
+    assert 5 <= emptied.sum() <= 95
+    column = task.feature_names().index(feature)
+    mean = tallied_mean_reference(batch.features, column, mask, steps)
+    expected = np.clip(mean / getattr(task, scale), 0.0, 1.0)
+    assert batch.ts_chars[:, ts_index].tobytes() == expected.tobytes()
+
+
 # configurations whose trials end at widely different steps, so the loop
 # drops finished trials from the batch many times
 STAGGERED_ENDS = [
