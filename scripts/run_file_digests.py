@@ -11,6 +11,9 @@ clock) and `config.yaml` (which names the temporary directory) are
 skipped.  Where `trajectory_digests.py` covers the simulator, this covers
 the GA and the run record: selection, the archive, breeding, checkpoints,
 population and feature dumps, best genomes and `generations.csv`.
+Last, one `fit` run per task at the paper's shape (population 100 x 10
+trials, 1 generation, the default `max_steps`) puts a batch large enough
+to be split over the usable cores under the same comparison.
 
     python3 scripts/run_file_digests.py > after.txt
     (cd ../parent && python3 scripts/run_file_digests.py) > before.txt
@@ -50,6 +53,10 @@ def config(task: str, rate: float) -> dict:
     }
 
 
+def paper_config(task: str) -> dict:
+    return {"task": task, "seed": 5, "ga": {"population": 100, "generations": 1, "trials": 10}}
+
+
 def file_digests(root: Path):
     """(name, sha256) for every run file under `root`, one per npz array."""
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -66,22 +73,30 @@ def file_digests(root: Path):
             yield rel, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run(work: Path, cfg: dict, methods) -> Path:
+    """The output directory of `sdbc run` over `cfg` with `methods`."""
+    work.mkdir()
+    cfg_path = work / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    out = work / "out"
+    argv = ["run", "--config", str(cfg_path), "--out", str(out), "--method", *methods]
+    with contextlib.redirect_stdout(sys.stderr):
+        if sdbc_main(argv) != 0:
+            raise SystemExit(f"{work.name}: sdbc run failed")
+    return out
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for task in TASKS:
             for rate in ARCHIVE_RATES:
-                work = Path(tmp) / f"{task}_{rate}"
-                work.mkdir()
-                cfg_path = work / "config.yaml"
-                cfg_path.write_text(yaml.safe_dump(config(task, rate)))
-                out = work / "out"
-                argv = ["run", "--config", str(cfg_path), "--out", str(out),
-                        "--method", *METHODS]
-                with contextlib.redirect_stdout(sys.stderr):
-                    if sdbc_main(argv) != 0:
-                        raise SystemExit(f"{task} rate {rate}: sdbc run failed")
+                out = run(Path(tmp) / f"{task}_{rate}", config(task, rate), METHODS)
                 for name, digest in file_digests(out):
                     print(task, rate, name, digest)
+        for task in TASKS:
+            out = run(Path(tmp) / f"{task}_paper", paper_config(task), ["fit"])
+            for name, digest in file_digests(out):
+                print(task, "paper", name, digest)
     return 0
 
 

@@ -5,10 +5,12 @@ file.  A batch runs `--runs` runs of each method that `--method` lists
 (default: the config's `method`).  Run i of the j-th method uses seed
 master + 1000*j + i, so every run is independently reproducible and a
 one-method batch uses master + i.  One method writes OUT/run_i; several
-write OUT/<method>/run_i, with "+" spelled "plus".  `--parallel`
-distributes whole runs over worker processes, which cannot change any
-run's results.  A run that fails is reported and the others carry on;
-`run` then exits with status 1.  `--resume` continues unfinished runs
+write OUT/<method>/run_i, with "+" spelled "plus".  `--parallel` (at
+least 1) distributes whole runs over worker processes, which cannot
+change any run's results; a worker evaluates on its own core, where a
+run in this process splits a large generation over every usable core.
+A run that fails is reported and the others carry on; `run` then exits
+with status 1.  `--resume` continues unfinished runs
 and leaves complete ones as they are; it refuses, before any run starts,
 a config that differs from a run's `config.yaml` in any field but `out`
 and `ga.generations`.
@@ -200,6 +202,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     methods = args.method or [cfg.method]
     if args.runs < 1:
         return _fail(f"--runs must be >= 1, got {args.runs}")
+    if args.parallel < 1:
+        return _fail(f"--parallel must be >= 1, got {args.parallel}")
     if len(set(methods)) < len(methods):
         return _fail(f"--method lists a method twice: {' '.join(methods)}")
     if len(methods) > 1 and args.runs > METHOD_SEED_STRIDE:

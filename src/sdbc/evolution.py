@@ -212,7 +212,9 @@ def evaluate_population(
     matched to their rows while finished trials leave the batch.  Trials
     of different genomes never interact, so stacking them yields the same
     numbers as evaluating one genome at a time, only with the per-step
-    array overhead shared across the whole generation.
+    array overhead shared across the whole generation.  For the same
+    reason `Task.simulate` may split the batch over the usable cores, one
+    contiguous part per core, and joins the parts bit for bit.
     """
     k = genomes.shape[0]
     if len(seeds_per_genome) != k:

@@ -24,6 +24,12 @@ ends, so no per-step array is needed, and `_finish` reads its feature
 means from them too (`Task.feature_mean`).  The per-step features and
 raw state are kept only when `simulate(..., record=True)` asks for them.
 
+Trials never interact, so `simulate` runs a large evaluation batch
+(without `record`) as one contiguous part per usable core: the calling
+process runs the first part through the same loop (`Task._run`), a
+forked child each other part, and the parts' results are joined in trial
+order (`run_forked`).  The joined batch is bit for bit the whole batch's.
+
 The group view is the task's formal description of one step: for each
 declared `GroupSpec`, which slots are members and their attribute
 columns, plus the geometry of a static entity.  The vectorised feature
@@ -36,6 +42,11 @@ by hand and the fast path can be checked against the reference.
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, fields
 from itertools import combinations
 from types import SimpleNamespace
@@ -81,6 +92,11 @@ GroupView = tuple[
 ]
 
 _NO_WALLS = np.empty((0, 4))
+# Trial-steps (trials x max_steps) per part below which a batch runs whole
+# in this process.  Every paper-scale generation (100 x 10 trials at the
+# default max_steps, 500,000 to 1,000,000) splits; a desk-scale one (50 x
+# 10 trials x 150 steps) does not.  Forking and joining a part takes ~4 ms.
+MIN_PART_WORK = 200_000
 # task parameters that must be > 0, besides every `*_sense` range
 _POSITIVE = ("dt", "axle", "v_max", "robot_radius", "arena_size", "zone_radius", "e_max")
 
@@ -165,7 +181,47 @@ class Task:
         networks can pick each row's own network after finished trials
         have left the batch.  The index changes only on a step where
         trials leave, so the stack can keep its per-row weights until then.
+
+        Trials never interact, so a batch without `record` is cut into
+        contiguous parts, one per usable core and each of at least
+        `MIN_PART_WORK` trial-steps (trials x `max_steps`): this process
+        runs the first through `_run`, a forked child each other, and the
+        parts are joined in trial order into the whole batch's bits.  A
+        smaller batch, a recorded one and one in a `--parallel` worker (a
+        daemonic process, whose siblings fill the cores) run whole here.
+        No child outlives the call; a part that fails in a child raises
+        RuntimeError here, with the child's traceback.
         """
+        parts = 1
+        if not record and not mp.current_process().daemon:
+            work = len(seeds) * self.max_steps // MIN_PART_WORK
+            parts = min(len(os.sched_getaffinity(0)), len(seeds), work)
+        if parts < 2:
+            return self._run(controller, seeds, record, networks)
+        cuts = [len(seeds) * i // parts for i in range(parts + 1)]
+
+        def part(i: int) -> TrialBatch:
+            lo, hi = cuts[i], cuts[i + 1]
+            nets = None if networks is None else networks[lo:hi]
+            return self._run(controller, seeds[lo:hi], False, nets)
+
+        batches = run_forked(part, parts)
+        return TrialBatch(
+            steps=np.concatenate([batch.steps for batch in batches]),
+            fitness=np.concatenate([batch.fitness for batch in batches]),
+            raw=np.concatenate([batch.raw for batch in batches]),
+            ts_chars=np.concatenate([batch.ts_chars for batch in batches]),
+        )
+
+    def _run(
+        self,
+        controller: Controller,
+        seeds: Sequence[int],
+        record: bool,
+        networks: np.ndarray | None,
+    ) -> TrialBatch:
+        """The lockstep loop of `simulate` over the whole of `seeds`, in
+        this process."""
         p = self.params
         b, tau = len(seeds), self.max_steps
         specs, excluded = self.group_specs(), self.excluded_pairs()
@@ -297,6 +353,79 @@ class Task:
             )
             groups.append(EntityGroup(spec, entities))
         return TaskStateSnapshot(tuple(groups), geometry_distance, self.excluded_pairs())
+
+
+def run_forked(part: Callable[[int], object], n: int) -> list:
+    """[part(0), ..., part(n - 1)], run at the same time: part 0 in this
+    process and each other part in a child forked for it.
+
+    A child sends its result, pickled, through a pipe and leaves only
+    through `os._exit`, so no exit hook, test runner or run writer of this
+    process runs in it.  Every child is waited for before this returns or
+    raises; if part 0 or a read fails, the children are killed first.  A
+    part that raises in its child raises RuntimeError here, with the
+    child's traceback in the message.
+
+    Forking a process that has threads is unsafe (Python 3.12 and later
+    warn about it); sdbc starts none.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    joined = False
+    try:
+        for i in range(1, n):
+            children.append(_fork_part(part, i))
+        results = [part(0)]
+        messages = [_read_all(fd) for _, fd in children]
+        joined = True
+    finally:
+        statuses = []
+        for pid, fd in children:
+            if not joined:  # a child not yet waited for can be signalled, even once exited
+                os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for i, (message, status) in enumerate(zip(messages, statuses), 1):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not message:
+            raise RuntimeError(f"batch part {i} sent no result (exit code {code})")
+        ok, value = pickle.loads(message)
+        if not ok:
+            raise RuntimeError(f"batch part {i} failed in its child process:\n{value}")
+        results.append(value)
+    return results
+
+
+def _fork_part(part: Callable[[int], object], i: int) -> tuple[int, int]:
+    """Fork a child that sends (True, part(i)), or (False, its traceback),
+    through a new pipe; returns the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        try:
+            message = (True, part(i))
+        except BaseException:  # the parent raises it; the child only exits
+            message = (False, traceback.format_exc())
+        with open(w, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytes:
+    """Everything a child writes to its pipe, up to the child's exit."""
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
 
 
 def write_features(

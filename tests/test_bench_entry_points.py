@@ -7,11 +7,14 @@ return type there would make a traced layer read zero, or fail the
 benchmark, without any other test noticing.
 """
 
+import functools
+import os
+
 import numpy as np
 import pytest
 
 from sdbc import characterisation, cli, evolution, novelty, runio, simulation
-from sdbc.evolution import ControllerSpec, StackedControllers, evaluate
+from sdbc.evolution import ControllerSpec, StackedControllers, evaluate, evaluate_population
 from sdbc.tasks import base, make_task
 
 WRAPPED = [
@@ -90,3 +93,44 @@ def test_simulate_calls_the_controller_once_per_step_with_the_live_rows(monkeypa
         live = steps > t
         assert rows == 3 * live.sum()
         assert np.array_equal(index, np.repeat(networks[live], 3))
+
+
+def test_a_split_batch_passes_the_step_count_once(monkeypatch):
+    # `trial_steps_per_s` sums `TrialBatch.steps` in a wrapper around each
+    # task class's `simulate`, in the run's own process; a batch split over
+    # forked parts must pass it once, with the steps of every part
+    counted = []
+
+    def counting(simulate):
+        @functools.wraps(simulate)
+        def wrapper(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            counted.append(int(batch.steps.sum()))
+            return batch
+
+        return wrapper
+
+    task = make_task("resource_sharing", {"max_steps": 150, "start_energy": 12.0})
+    spec = ControllerSpec(task.n_inputs, 8, task.n_outputs)
+    genomes = np.random.default_rng(0).uniform(-2, 2, (6, spec.genome_length))
+    seeds = [[10 * g + t for t in range(3)] for g in range(6)]
+    whole = task.simulate(
+        StackedControllers(genomes, spec), sum(seeds, []), networks=np.repeat(np.arange(6), 3)
+    )
+    assert len(np.unique(whole.steps)) > 2
+
+    cls = type(task)
+    parts = []
+    run = cls._run
+
+    def run_here(self, controller, seeds, *args):
+        parts.append(len(seeds))
+        return run(self, controller, seeds, *args)
+
+    monkeypatch.setattr(base, "MIN_PART_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cls, "_run", run_here)
+    monkeypatch.setattr(cls, "simulate", counting(cls.simulate))
+    evaluate_population(genomes, task, spec, seeds)
+    assert parts == [9]  # this process ran half the trials, a child the rest
+    assert counted == [int(whole.steps.sum())]

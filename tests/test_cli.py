@@ -597,6 +597,8 @@ class TestMethodBatch:
             (["--runs", "-3"], "--runs must be >= 1"),
             (["--method", "fit", "ns-sd", "fit"], "--method lists a method twice"),
             (["--method", "fit", "ns-sd", "--runs", "1001"], "--runs 1001 would give two methods"),
+            (["--parallel", "0"], "--parallel must be >= 1"),
+            (["--parallel", "-3"], "--parallel must be >= 1"),
         ],
     )
     def test_bad_batch_is_rejected_before_running(self, tmp_path, capsys, extra, message):
@@ -611,6 +613,13 @@ class TestMethodBatch:
         monkeypatch.setenv("SDBC_RUNS", "0")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: --runs must be >= 1, got 0")
+
+    def test_zero_parallel_from_the_environment_is_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path)
+        monkeypatch.setenv("SDBC_PARALLEL", "0")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: --parallel must be >= 1, got 0")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_method_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -3,7 +3,9 @@ equivalence of the vectorised feature path with the formal extractor."""
 
 import hashlib
 import math
+import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from sdbc.formalism import (
     EntityState,
     extract_feature_series,
 )
-from sdbc.tasks import make_task
+from sdbc.tasks import base, make_task
 from sdbc.simulation import normalize_angle
 from sdbc.tasks.base import (
     nearest_neighbor_sensor,
@@ -1033,3 +1035,120 @@ class TestDeterminism:
         assert np.array_equal(b1.features, b2.features)
         assert np.array_equal(b1.ts_chars, b2.ts_chars)
         assert np.array_equal(b1.steps, b2.steps)
+
+
+# A batch split over forked parts (`Task.simulate` without `record`).  Each
+# test forces the split with a tiny MIN_PART_WORK and sets the usable cores.
+DYING_SHARING = {"max_steps": 150, "start_energy": 12.0}
+# one robot and a wide gate that closes late, as in trajectory_digests.py:
+# a trial ends on the step its robot escapes
+OPEN_GATE = {"n_robots": 1, "gate_width": 1.0, "v_max": 0.4, "max_steps": 400,
+             "gate_close_delay": 300}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test; every batch splits."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(base, "MIN_PART_WORK", 1)
+    return pids
+
+
+def use_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def assert_reaped(pids):
+    # a pid of another child of this process (a multiprocessing resource
+    # tracker, say) would make waitpid(-1) report a live child
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def population(task, trials, genome_seed):
+    """A stack of random networks, three trials each, and its row index."""
+    spec = ControllerSpec(task.n_inputs, 8, task.n_outputs)
+    rng = np.random.default_rng(genome_seed)
+    genomes = rng.uniform(-2, 2, (-(-trials // 3), spec.genome_length))
+    return StackedControllers(genomes, spec), np.arange(trials) // 3
+
+
+@pytest.mark.parametrize(
+    "name,overrides,genome_seed,trials,cores",
+    [
+        ("resource_sharing", DYING_SHARING, 0, 18, 2),
+        ("gate_escape", OPEN_GATE, 2, 18, 2),
+        ("predator_prey", {"max_steps": 150, "prey_speed_factor": 0.3}, 0, 18, 2),
+        ("resource_sharing", DYING_SHARING, 1, 17, 3),  # parts of 5, 6 and 6 trials
+        ("resource_sharing", DYING_SHARING, 1, 3, 4),  # fewer trials than cores
+    ],
+    ids=["sharing-deaths", "gate-all-escaped", "pursuit", "uneven-parts", "few-trials"],
+)
+def test_split_batch_matches_the_whole_batch(
+    forks, monkeypatch, name, overrides, genome_seed, trials, cores
+):
+    use_cores(monkeypatch, cores)
+    task = make_task(name, overrides)
+    stack, networks = population(task, trials, genome_seed)
+    seeds = list(range(100, 100 + trials))
+    split = task.simulate(stack, seeds, record=False, networks=networks)
+    assert len(forks) == min(cores, trials) - 1
+    assert_reaped(forks)
+    whole = task._run(stack, seeds, False, networks)
+    if name != "predator_prey":
+        assert (whole.steps < task.max_steps).sum() >= 3  # trials end early
+    for key in ("steps", "fitness", "raw", "ts_chars"):
+        a, b = getattr(split, key), getattr(whole, key)
+        assert a.dtype == b.dtype and a.shape == b.shape, key
+        assert a.tobytes() == b.tobytes(), key
+    assert split.features is None and split.record is None
+
+
+@pytest.mark.parametrize("inline", ["record", "daemon", "small"])
+def test_batch_runs_inline(forks, monkeypatch, inline):
+    use_cores(monkeypatch, 2)
+    if inline == "daemon":  # a --parallel pool worker
+        monkeypatch.setattr(base.mp, "current_process", lambda: SimpleNamespace(daemon=True))
+    if inline == "small":  # two parts of 6 trials x 60 steps would fall below it
+        monkeypatch.setattr(base, "MIN_PART_WORK", 6 * 60 + 1)
+    task = make_task("gate_escape", {"max_steps": 60})
+    stack, networks = population(task, 12, 0)
+    task.simulate(stack, list(range(12)), record=inline == "record", networks=networks)
+    assert forks == []
+
+
+@pytest.mark.parametrize("where", ["child", "parent", "child exits"])
+def test_a_failing_part_raises_in_the_caller(forks, monkeypatch, where):
+    use_cores(monkeypatch, 2)
+    task = make_task("gate_escape", {"max_steps": 60})
+    stack, networks = population(task, 12, 0)
+    parent = os.getpid()
+
+    def controller(x, rows):
+        in_child = os.getpid() != parent
+        if in_child and where == "child exits":
+            os._exit(3)
+        if where == ("child" if in_child else "parent"):
+            raise ValueError(f"controller fault in the {where}")
+        return stack(x, rows)
+
+    expected = {
+        "child": (RuntimeError, "(?s)failed in its child process:.*"
+                                "ValueError: controller fault in the child"),
+        "parent": (ValueError, "controller fault in the parent"),
+        "child exits": (RuntimeError, "sent no result"),
+    }[where]
+    with pytest.raises(expected[0], match=expected[1]):
+        task.simulate(controller, list(range(12)), record=False, networks=networks)
+    assert len(forks) == 1
+    assert_reaped(forks)
