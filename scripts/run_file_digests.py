@@ -11,9 +11,12 @@ clock) and `config.yaml` (which names the temporary directory) are
 skipped.  Where `trajectory_digests.py` covers the simulator, this covers
 the GA and the run record: selection, the archive, breeding, checkpoints,
 population and feature dumps, best genomes and `generations.csv`.
-Last, one `fit` run per task at the paper's shape (population 100 x 10
+Then one `fit` run per task at the paper's shape (population 100 x 10
 trials, 1 generation, the default `max_steps`) puts a batch large enough
-to be split over the usable cores under the same comparison.
+to be split over the usable cores under the same comparison.  Last,
+`--method fit ns-sd+ --runs 2` at the desk shape (population 50 x 10
+trials, `max_steps` 150, 2 generations) runs four runs whose shared batch
+splits; a checkout that runs them one at a time must print the same lines.
 
     python3 scripts/run_file_digests.py > after.txt
     (cd ../parent && python3 scripts/run_file_digests.py) > before.txt
@@ -57,6 +60,16 @@ def paper_config(task: str) -> dict:
     return {"task": task, "seed": 5, "ga": {"population": 100, "generations": 1, "trials": 10}}
 
 
+def group_config() -> dict:
+    return {
+        "task": "resource_sharing",
+        "seed": 5,
+        "dump_population": True,
+        "ga": {"population": 50, "generations": 2, "trials": 10},
+        "task_params": {"max_steps": 150},
+    }
+
+
 def file_digests(root: Path):
     """(name, sha256) for every run file under `root`, one per npz array."""
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -73,13 +86,14 @@ def file_digests(root: Path):
             yield rel, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(work: Path, cfg: dict, methods) -> Path:
+def run(work: Path, cfg: dict, methods, runs: int = 1) -> Path:
     """The output directory of `sdbc run` over `cfg` with `methods`."""
     work.mkdir()
     cfg_path = work / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     out = work / "out"
-    argv = ["run", "--config", str(cfg_path), "--out", str(out), "--method", *methods]
+    argv = ["run", "--config", str(cfg_path), "--out", str(out), "--runs", str(runs),
+            "--method", *methods]
     with contextlib.redirect_stdout(sys.stderr):
         if sdbc_main(argv) != 0:
             raise SystemExit(f"{work.name}: sdbc run failed")
@@ -97,6 +111,9 @@ def main() -> int:
             out = run(Path(tmp) / f"{task}_paper", paper_config(task), ["fit"])
             for name, digest in file_digests(out):
                 print(task, "paper", name, digest)
+        out = run(Path(tmp) / "group", group_config(), ["fit", "ns-sd+"], runs=2)
+        for name, digest in file_digests(out):
+            print("resource_sharing", "group", name, digest)
     return 0
 
 

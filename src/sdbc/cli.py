@@ -5,28 +5,27 @@ file.  A batch runs `--runs` runs of each method that `--method` lists
 (default: the config's `method`).  Run i of the j-th method uses seed
 master + 1000*j + i, so every run is independently reproducible and a
 one-method batch uses master + i.  One method writes OUT/run_i; several
-write OUT/<method>/run_i, with "+" spelled "plus".  `--parallel` (at
-least 1) distributes whole runs over worker processes, which cannot
-change any run's results; a worker evaluates on its own core, where a
-run in this process splits a large generation over every usable core.
-A run that fails is reported and the others carry on; `run` then exits
-with status 1.  `--resume` continues unfinished runs
-and leaves complete ones as they are; it refuses, before any run starts,
-a config that differs from a run's `config.yaml` in any field but `out`
-and `ga.generations`.
+write OUT/<method>/run_i, with "+" spelled "plus".  The runs advance in
+groups of up to `GROUP_RUNS`, whose fresh genomes each generation are
+evaluated as one trial batch, split over the usable cores when it is
+large enough; grouping cannot change any run's results.  A run that
+fails is reported and the others carry on; `run` then exits with status
+1.  `--resume` continues unfinished runs and leaves complete ones as they
+are; it refuses, before any run starts, a config that differs from a
+run's `config.yaml` in any field but `out` and `ga.generations`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
-import multiprocessing as mp
 import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .characterisation import apply_standardisation, compute_standardisation
 from .config import (
     ConfigError,
     ExperimentConfig,
-    config_from_dict,
     default_config_text,
     load_config,
     validate_config,
@@ -48,11 +46,13 @@ from .evolution import (
     build_controller,
     init_population,
     run_generation,
+    run_generations,
 )
 from .tasks import Task, TrialBatch, make_task
 
 ENV_PREFIX = "SDBC_"
 METHOD_SEED_STRIDE = 1000  # seeds set aside for each method of a batch
+GROUP_RUNS = 8  # runs that share a trial batch: bounds its memory and a shared fault's reach
 
 
 def _env_default(name: str, default=None):
@@ -96,7 +96,60 @@ def build_state(cfg: ExperimentConfig) -> EvolutionState:
 
 
 def execute_run(cfg: ExperimentConfig, run_dir: str | Path, resume: bool = False) -> dict:
-    """Run one evolution to completion, writing a full run record."""
+    """Run one evolution to completion: `execute_runs` of one job, raising its failure."""
+    (outcome,) = execute_runs([(cfg, run_dir, resume)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def execute_runs(jobs: Sequence[tuple[ExperimentConfig, str | Path, bool]]) -> list:
+    """Run (config, run directory, resume) jobs of one task and controller
+    in consecutive groups of `GROUP_RUNS`; a group evaluates its runs' fresh
+    genomes of each generation in one batch.  Returns each job's summary or
+    the exception that failed it, left as `error.txt` until a success.  A
+    fault in a run's own set-up or files fails it alone; one in the shared
+    generation fails every run of the group still going."""
+    outcomes: list = [None] * len(jobs)
+    for first in range(0, len(jobs), GROUP_RUNS):
+        runs = {k: _run_steps(*jobs[k]) for k in range(len(jobs))[first:first + GROUP_RUNS]}
+        replies = dict.fromkeys(runs)  # a run's first reply starts it
+        while True:
+            live = {}  # job index -> state, for the runs still going
+            for k, reply in replies.items():
+                try:
+                    live[k] = runs[k].send(reply)
+                except StopIteration as stop:
+                    outcomes[k] = stop.value
+                except Exception as exc:
+                    outcomes[k] = exc
+            if not live:
+                break
+            states = list(live.values())
+            try:  # a lone run calls `run_generation`, whose calls the benchmark times
+                out = [run_generation(states[0])] if len(states) == 1 else run_generations(states)
+            except Exception as exc:
+                for k in live:
+                    outcomes[k] = exc
+                break
+            replies = dict(zip(live, out))
+        for k in runs:
+            error_file = Path(jobs[k][1]) / "error.txt"
+            with contextlib.suppress(OSError):  # e.g. the run directory is missing or a file
+                if isinstance(outcomes[k], Exception):
+                    trace = "".join(traceback.format_exception(outcomes[k]))
+                    runio._replace_file(error_file, lambda fh: fh.write(trace))
+                else:
+                    error_file.unlink(missing_ok=True)
+    return outcomes
+
+
+def _run_steps(cfg: ExperimentConfig, run_dir: str | Path, resume: bool):
+    """One run as a generator: it yields its state before each generation,
+    is sent back (stats, detail), and returns its summary."""
+    if resume and runio.is_complete(run_dir):
+        done = json.loads((Path(run_dir) / "done.json").read_text())
+        return {"best_fitness": done["best_fitness"], "run_dir": str(run_dir)}
     state = build_state(cfg)
     task = state.task
     meta = {
@@ -112,8 +165,7 @@ def execute_run(cfg: ExperimentConfig, run_dir: str | Path, resume: bool = False
         },
     }
     writer = runio.RunWriter(run_dir, cfg, meta)
-    checkpoint = Path(run_dir) / "checkpoint.npz"
-    if resume and checkpoint.exists() and not runio.is_complete(run_dir):
+    if resume and (Path(run_dir) / "checkpoint.npz").exists():
         runio.restore_state(state, run_dir)
         writer.resume_generations(state.generation - 1)
     else:
@@ -121,7 +173,7 @@ def execute_run(cfg: ExperimentConfig, run_dir: str | Path, resume: bool = False
 
     schema = task.char_schema()
     while state.generation < cfg.ga.generations:
-        stats, detail = run_generation(state)
+        stats, detail = yield state
         writer.append_generation(stats)
         if cfg.dump_population:
             writer.dump_population(stats.generation, detail)
@@ -133,28 +185,6 @@ def execute_run(cfg: ExperimentConfig, run_dir: str | Path, resume: bool = False
     writer.write_best_genome(state, cfg.task)
     writer.mark_done(state)
     return {"best_fitness": state.best_so_far, "run_dir": str(run_dir)}
-
-
-def _run_worker(payload: tuple[dict, str, bool]) -> dict:
-    """One run; a failure is returned as the run's outcome, so that it
-    does not hide the outcomes of the other runs.  Its traceback is also
-    left in the run directory as `error.txt`, which a later successful
-    run of that directory removes.  Resuming a complete run reports its
-    `done.json` and runs nothing."""
-    cfg_dict, run_dir, resume = payload
-    error_file = Path(run_dir) / "error.txt"
-    try:
-        if resume and runio.is_complete(run_dir):
-            done = json.loads((Path(run_dir) / "done.json").read_text())
-            return {"run_dir": run_dir, "best_fitness": done["best_fitness"]}
-        result = execute_run(config_from_dict(cfg_dict), run_dir, resume)
-        error_file.unlink(missing_ok=True)
-        return result
-    except Exception as exc:
-        trace = traceback.format_exc()
-        with contextlib.suppress(OSError):  # e.g. the run directory is missing or a file
-            runio._replace_file(error_file, lambda fh: fh.write(trace))
-        return {"run_dir": run_dir, "error": f"{type(exc).__name__}: {exc}", "traceback": trace}
 
 
 def _flat_fields(d: dict, prefix: str = "") -> dict[str, Any]:
@@ -202,8 +232,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     methods = args.method or [cfg.method]
     if args.runs < 1:
         return _fail(f"--runs must be >= 1, got {args.runs}")
-    if args.parallel < 1:
-        return _fail(f"--parallel must be >= 1, got {args.parallel}")
     if len(set(methods)) < len(methods):
         return _fail(f"--method lists a method twice: {' '.join(methods)}")
     if len(methods) > 1 and args.runs > METHOD_SEED_STRIDE:
@@ -219,29 +247,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     for j, method in enumerate(methods):
         method_root = out_root / method.replace("+", "plus") if len(methods) > 1 else out_root
         for i in range(args.runs):
-            run_cfg_dict = cfg.to_dict()
-            run_cfg_dict["method"] = method
-            run_cfg_dict["seed"] = cfg.seed + METHOD_SEED_STRIDE * j + i
-            jobs.append((run_cfg_dict, str(method_root / f"run_{i:03d}"), args.resume))
+            seed = cfg.seed + METHOD_SEED_STRIDE * j + i
+            run_cfg = dataclasses.replace(cfg, method=method, seed=seed)
+            jobs.append((run_cfg, str(method_root / f"run_{i:03d}"), args.resume))
     if args.resume:
-        for run_cfg_dict, run_dir, _ in jobs:
-            conflict = _resume_conflict(Path(run_dir), run_cfg_dict)
+        for run_cfg, run_dir, _ in jobs:
+            conflict = _resume_conflict(Path(run_dir), run_cfg.to_dict())
             if conflict:
                 return _fail(f"{run_dir}: {conflict}")
 
-    if args.parallel > 1 and len(jobs) > 1:
-        with mp.get_context("spawn").Pool(min(args.parallel, len(jobs))) as pool:
-            results = pool.map(_run_worker, jobs)
-    else:
-        results = [_run_worker(job) for job in jobs]
-    failed = [res for res in results if "error" in res]
-    for res in results:
-        if "error" in res:
-            print(res["traceback"], end="", file=sys.stderr)
-            print(f"{res['run_dir']}: failed: {res['error']}", file=sys.stderr)
+    outcomes = execute_runs(jobs)
+    for (_, run_dir, _), res in zip(jobs, outcomes):
+        if isinstance(res, Exception):
+            print("".join(traceback.format_exception(res)), end="", file=sys.stderr)
+            print(f"{run_dir}: failed: {type(res).__name__}: {res}", file=sys.stderr)
         else:
-            print(f"{res['run_dir']}: best fitness {res['best_fitness']:.6f}")
-    return 1 if failed else 0
+            print(f"{run_dir}: best fitness {res['best_fitness']:.6f}")
+    return 1 if any(isinstance(res, Exception) for res in outcomes) else 0
 
 
 def replay_genome(
@@ -466,7 +488,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="execute one or more evolutionary runs")
     p_run.add_argument("--config", required=True, help="experiment config YAML")
     p_run.add_argument("--runs", type=int, default=_env_default("runs", 1))
-    p_run.add_argument("--parallel", type=int, default=_env_default("parallel", 1))
     p_run.add_argument(
         "--method", nargs="+", choices=METHODS, help="methods to run (default: the config's)"
     )

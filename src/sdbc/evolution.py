@@ -330,16 +330,35 @@ def _uses_sdbc(method: str) -> bool:
 
 def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDetail]:
     """One full generation: evaluate, transform, score, rank, breed."""
-    t0 = time.perf_counter()
-    gen = state.generation
-    fresh = np.flatnonzero(~state.has_result)
-    if fresh.size:
-        seeds = [trial_seeds(state.master_seed, gen, int(i), state.trials) for i in fresh]
-        state.results.put(
-            fresh, evaluate_population(state.genomes[fresh], state.task, state.spec, seeds)
-        )
-        state.has_result[fresh] = True
+    return run_generations([state])[0]
 
+
+def run_generations(
+    states: Sequence[EvolutionState],
+) -> list[tuple[GenerationStats, GenerationDetail]]:
+    """One generation of each state, their fresh genomes evaluated in one
+    `evaluate_population` call.  The states share a task and controller
+    and may be at different generations; each row keeps its own state's
+    trial seeds, so each state advances bit for bit as it would alone."""
+    t0 = time.perf_counter()
+    fresh = [np.flatnonzero(~s.has_result) for s in states]
+    if any(f.size for f in fresh):
+        task, spec = states[0].task, states[0].spec
+        if any((s.task.params, s.spec) != (task.params, spec) for s in states):
+            raise ValueError("states evaluated together must share one task and controller")
+        seeds = [trial_seeds(s.master_seed, s.generation, int(i), s.trials)
+                 for s, f in zip(states, fresh) for i in f]
+        genomes = np.concatenate([s.genomes[f] for s, f in zip(states, fresh)])
+        results = evaluate_population(genomes, task, spec, seeds)
+        for s, f, end in zip(states, fresh, np.cumsum([f.size for f in fresh])):
+            s.results.put(f, results[end - f.size:end])
+            s.has_result[f] = True
+    return [_advance(s, f.size, t0) for s, f in zip(states, fresh)]
+
+
+def _advance(state: EvolutionState, evaluations: int, t0: float):
+    """Rank, archive and breed a population whose rows all hold results."""
+    gen = state.generation
     ids = state.ids
     fitness = state.results.fitness
     sdbc_raw = state.results.raw
@@ -394,7 +413,7 @@ def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDe
         best_id=int(ids[best_idx]),
         best_so_far=state.best_so_far,
         archive_size=len(state.archive),
-        evaluations=len(fresh),
+        evaluations=evaluations,
         wall_time=time.perf_counter() - t0,
     )
     detail = GenerationDetail(

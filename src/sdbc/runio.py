@@ -5,7 +5,7 @@ Layout of a run directory:
     config.yaml        resolved configuration snapshot (includes the seed)
     meta.json          task, method, schemas, genome spec
     generations.csv    one row per generation (no timing, byte-reproducible)
-    timing.csv         wall-clock seconds per generation
+    timing.csv         wall-clock seconds per generation (its group's, in a group)
     population/        optional per-generation characterisation dumps
     features/          optional per-generation mu/sigma/MI/weight tables
     archive.csv        novelty archive contents with generation tags

@@ -93,10 +93,10 @@ GroupView = tuple[
 
 _NO_WALLS = np.empty((0, 4))
 # Trial-steps (trials x max_steps) per part below which a batch runs whole
-# in this process.  Every paper-scale generation (100 x 10 trials at the
-# default max_steps, 500,000 to 1,000,000) splits; a desk-scale one (50 x
-# 10 trials x 150 steps) does not.  Forking and joining a part takes ~4 ms.
-MIN_PART_WORK = 200_000
+# in this process.  One desk-scale run's generation (50 x 10 trials x 150
+# steps: 72,000 to 75,000) runs whole; a group of two such runs splits, as
+# a 2-way split pays from ~37,500 per part.  Forking and joining takes ~4 ms.
+MIN_PART_WORK = 50_000
 # task parameters that must be > 0, besides every `*_sense` range
 _POSITIVE = ("dt", "axle", "v_max", "robot_radius", "arena_size", "zone_radius", "e_max")
 
@@ -187,8 +187,8 @@ class Task:
         `MIN_PART_WORK` trial-steps (trials x `max_steps`): this process
         runs the first through `_run`, a forked child each other, and the
         parts are joined in trial order into the whole batch's bits.  A
-        smaller batch, a recorded one and one in a `--parallel` worker (a
-        daemonic process, whose siblings fill the cores) run whole here.
+        smaller batch, a recorded one and one in a daemonic process (a
+        multiprocessing pool worker, whose siblings fill the cores) run whole here.
         No child outlives the call; a part that fails in a child raises
         RuntimeError here, with the child's traceback.
         """

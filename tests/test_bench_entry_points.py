@@ -9,13 +9,15 @@ benchmark, without any other test noticing.
 
 import functools
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from sdbc import characterisation, cli, evolution, novelty, runio, simulation
+from sdbc.config import config_from_dict
 from sdbc.evolution import ControllerSpec, StackedControllers, evaluate, evaluate_population
-from sdbc.tasks import base, make_task
+from sdbc.tasks import TASKS, base, make_task
 
 WRAPPED = [
     (simulation, "step_kinematics_arrays"),
@@ -134,3 +136,70 @@ def test_a_split_batch_passes_the_step_count_once(monkeypatch):
     evaluate_population(genomes, task, spec, seeds)
     assert parts == [9]  # this process ran half the trials, a child the rest
     assert counted == [int(whole.steps.sum())]
+
+
+def rebind_everywhere(monkeypatch, original, replacement):
+    """child.py's `replace_everywhere`, undone after the test."""
+    for name, module in list(sys.modules.items()):
+        if name == "sdbc" or name.startswith("sdbc."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+SMALL_RUN = {
+    "task": "resource_sharing",
+    "seed": 3,
+    "ga": {"population": 8, "generations": 3, "trials": 2, "hidden_units": 4},
+    "task_params": {"max_steps": 40, "n_robots": 3},
+}
+
+
+def test_a_run_times_each_generation_in_one_call(tmp_path, monkeypatch):
+    # child.py times a generation from the call of `run_generation` it
+    # rebinds in every sdbc module, and adds the steps of each `simulate`
+    # call to the generation in progress, so each generation must be one
+    # such call with every simulation inside it
+    calls, inside = [], []
+    run_generation = evolution.run_generation
+
+    def timed(state):
+        calls.append(state.generation)
+        inside.append(True)
+        try:
+            return run_generation(state)
+        finally:
+            inside.pop()
+
+    simulated = []
+    for cls, _ in TASKS.values():
+        simulate = cls.simulate
+
+        def counted(*args, simulate=simulate, **kwargs):
+            simulated.append(bool(inside))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cls, "simulate", counted)
+    rebind_everywhere(monkeypatch, run_generation, timed)
+    cli.execute_run(config_from_dict(SMALL_RUN), tmp_path / "run")
+    assert calls == [0, 1, 2]
+    assert simulated and all(simulated)
+
+
+def test_a_probe_leaves_the_run_with_its_own_exception(tmp_path, monkeypatch):
+    # the probe raises from the first call, once the run is set up, and
+    # must get the same object back from `execute_run`
+    class SetupDone(Exception):
+        pass
+
+    raised = SetupDone()
+    run_dir = tmp_path / "run"
+
+    def probe(state):
+        assert state.genomes is not None and (run_dir / "meta.json").is_file()
+        raise raised
+
+    rebind_everywhere(monkeypatch, evolution.run_generation, probe)
+    with pytest.raises(SetupDone) as exc:
+        cli.execute_run(config_from_dict(SMALL_RUN), run_dir)
+    assert exc.value is raised

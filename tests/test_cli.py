@@ -1,6 +1,7 @@
 """Configuration validation, run determinism, replay round trips, analyze."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -15,7 +16,8 @@ import pytest
 import yaml
 
 import sdbc
-from sdbc.cli import execute_run, main, replay_genome
+from sdbc import cli, evolution
+from sdbc.cli import execute_run, execute_runs, main, replay_genome
 from sdbc.config import (
     ConfigError,
     config_from_dict,
@@ -30,7 +32,7 @@ from sdbc.runio import (
     read_generations,
     read_meta,
 )
-from sdbc.tasks import make_task
+from sdbc.tasks import base, make_task
 from sdbc.tasks.predator_prey import pursuit_fitness
 from test_acceptance import SHARING_CONFIG, desk_jobs
 
@@ -154,21 +156,6 @@ class TestRun:
         pop_a = sorted((tmp_path / "a/run_000/population").glob("*.csv"))
         pop_b = sorted((tmp_path / "b/run_000/population").glob("*.csv"))
         assert [p.read_bytes() for p in pop_a] == [p.read_bytes() for p in pop_b]
-
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg_path = write_config(tmp_path)
-        assert main([
-            "run", "--config", str(cfg_path), "--runs", "2",
-            "--parallel", "1", "--out", str(tmp_path / "serial"),
-        ]) == 0
-        assert main([
-            "run", "--config", str(cfg_path), "--runs", "2",
-            "--parallel", "2", "--out", str(tmp_path / "parallel"),
-        ]) == 0
-        for i in range(2):
-            a = (tmp_path / f"serial/run_{i:03d}/generations.csv").read_bytes()
-            b = (tmp_path / f"parallel/run_{i:03d}/generations.csv").read_bytes()
-            assert a == b
 
     def test_batch_runs_use_incremented_seeds(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -426,8 +413,7 @@ execute_run(load_config(sys.argv[1]), sys.argv[2])
         out.mkdir()
         (out / "run_001").write_text("a file where the run directory should go\n")
         assert main([
-            "run", "--config", str(cfg_path), "--runs", "2", "--parallel", "2",
-            "--out", str(out),
+            "run", "--config", str(cfg_path), "--runs", "2", "--out", str(out),
         ]) == 1
         captured = capsys.readouterr()
         assert f"{out / 'run_000'}: best fitness" in captured.out
@@ -492,11 +478,11 @@ def record_jobs(monkeypatch):
     """Make `run` collect its jobs instead of running them."""
     jobs = []
 
-    def fake_worker(job):
-        jobs.append(job)
-        return {"run_dir": job[1], "best_fitness": 0.0}
+    def fake_runs(batch):
+        jobs.extend(batch)
+        return [{"run_dir": run_dir, "best_fitness": 0.0} for _, run_dir, _ in batch]
 
-    monkeypatch.setattr("sdbc.cli._run_worker", fake_worker)
+    monkeypatch.setattr("sdbc.cli.execute_runs", fake_runs)
     return jobs
 
 
@@ -511,14 +497,14 @@ class TestMethodBatch:
             "--seed", "1000", "--runs", "8", "--out", str(out),
         ]) == 0
 
-        def resolved(cfg_dict, run_dir, root):
-            cfg = config_from_dict(cfg_dict).to_dict()
+        def resolved(cfg, run_dir, root):
+            cfg = cfg.to_dict()
             del cfg["out"]
             return cfg, Path(run_dir).relative_to(root)
 
         sharing = tmp_path / "cache" / "sharing"
         expected = [
-            resolved(cfg, run_dir, sharing)
+            resolved(config_from_dict(cfg), run_dir, sharing)
             for cfg, run_dir in desk_jobs(sharing.parent)
             if Path(run_dir).is_relative_to(sharing)
         ]
@@ -532,7 +518,7 @@ class TestMethodBatch:
             "run", "--config", str(cfg_path), "--method", "fit", "ns-ts", "--runs", "1000",
             "--out", str(tmp_path / "o"),
         ]) == 0
-        seeds = [cfg["seed"] for cfg, _, _ in jobs]
+        seeds = [cfg.seed for cfg, _, _ in jobs]
         assert seeds == list(range(9, 2009))
 
     def test_layout_and_seeds(self, method_batch):
@@ -555,7 +541,7 @@ class TestMethodBatch:
         blocked.write_text("a file where the run directory should go\n")
         args = [
             "run", "--config", str(cfg_path), "--method", "fit", "ns-sd+", "--runs", "2",
-            "--parallel", "2", "--out", str(out),
+            "--out", str(out),
         ]
         assert main(args) == 1
         captured = capsys.readouterr()
@@ -597,8 +583,6 @@ class TestMethodBatch:
             (["--runs", "-3"], "--runs must be >= 1"),
             (["--method", "fit", "ns-sd", "fit"], "--method lists a method twice"),
             (["--method", "fit", "ns-sd", "--runs", "1001"], "--runs 1001 would give two methods"),
-            (["--parallel", "0"], "--parallel must be >= 1"),
-            (["--parallel", "-3"], "--parallel must be >= 1"),
         ],
     )
     def test_bad_batch_is_rejected_before_running(self, tmp_path, capsys, extra, message):
@@ -614,18 +598,142 @@ class TestMethodBatch:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: --runs must be >= 1, got 0")
 
-    def test_zero_parallel_from_the_environment_is_rejected(self, tmp_path, monkeypatch, capsys):
+    def test_parallel_is_an_unrecognised_argument(self, tmp_path, capsys):
+        # runs share each generation's batch over the usable cores instead
         cfg_path = write_config(tmp_path)
-        monkeypatch.setenv("SDBC_PARALLEL", "0")
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: --parallel must be >= 1, got 0")
-        assert not (tmp_path / "o").exists()
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--out", str(out), "--parallel", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_is_a_usage_error(self, tmp_path):
         cfg_path = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg_path), "--method", "fit", "hill-climb"])
         assert exc.value.code == 2
+
+
+def group_jobs(root, methods=("fit", "ns-ts", "ns-sd", "ns-sd+"), resumed=()):
+    """One TINY job per method, run i with seed 9 + i, in root/run_i; a
+    job in `resumed` continues a 2-generation run whose done.json is gone."""
+    jobs = []
+    for i, method in enumerate(methods):
+        cfg = config_from_dict({**TINY, "method": method, "seed": 9 + i})
+        run_dir = root / f"run_{i:03d}"
+        if i in resumed:
+            execute_run(dataclasses.replace(cfg, ga=dataclasses.replace(cfg.ga, generations=2)),
+                        run_dir)
+            (run_dir / "done.json").unlink()
+        jobs.append((cfg, run_dir, i in resumed))
+    return jobs
+
+
+def count_rows(monkeypatch):
+    """The genome count of every `evaluate_population` call."""
+    rows = []
+    evaluate_population = evolution.evaluate_population
+
+    def counted(genomes, *args):
+        rows.append(len(genomes))
+        return evaluate_population(genomes, *args)
+
+    monkeypatch.setattr(evolution, "evaluate_population", counted)
+    return rows
+
+
+class TestGroups:
+    """`sdbc run` advances up to GROUP_RUNS runs together, their fresh
+    genomes evaluated in one batch each generation."""
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    def test_group_writes_the_files_of_solo_runs(self, tmp_path, monkeypatch, split):
+        forks = []
+        fork = os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if split:
+            monkeypatch.setattr(base, "MIN_PART_WORK", 1)
+        for cfg, run_dir, resume in group_jobs(tmp_path / "solo", resumed=[1]):
+            execute_run(cfg, run_dir, resume)
+        jobs = group_jobs(tmp_path / "group", resumed=[1])
+        rows = count_rows(monkeypatch)
+        forks.clear()
+        outcomes = execute_runs(jobs)
+        # the resumed run's last generation shares the others' first
+        assert rows == [8 + 6 + 8 + 8, 6 * 3, 6 * 3]
+        assert len(forks) == (3 if split else 0)  # one child per shared generation
+        for (_, run_dir, _), outcome in zip(jobs, outcomes):
+            assert outcome["run_dir"] == str(run_dir)
+            assert is_complete(run_dir)
+            solo = tmp_path / "solo" / run_dir.name
+            solo_done = json.loads((solo / "done.json").read_text())
+            assert outcome["best_fitness"] == solo_done["best_fitness"]
+            assert file_digests(run_dir) == file_digests(solo), run_dir.name
+        assert any(name.startswith("population/") for name in file_digests(run_dir))
+
+    def test_a_fault_in_a_runs_own_files_fails_it_alone(self, tmp_path, monkeypatch):
+        jobs = group_jobs(tmp_path / "o", methods=("fit", "ns-sd+", "ns-ts"))
+        failing = jobs[1][1]
+        fault = OSError("disk full")
+        append = RunWriter.append_generation
+
+        def dying_append(self, stats):
+            if self.dir == failing and stats.generation == 1:
+                raise fault
+            return append(self, stats)
+
+        monkeypatch.setattr(RunWriter, "append_generation", dying_append)
+        outcomes = execute_runs(jobs)
+        assert outcomes[1] is fault
+        assert "OSError: disk full" in (failing / "error.txt").read_text()
+        assert not is_complete(failing)
+        for k in (0, 2):
+            assert outcomes[k]["run_dir"] == str(jobs[k][1])
+            assert is_complete(jobs[k][1])
+            assert not (jobs[k][1] / "error.txt").exists()
+        with pytest.raises(OSError) as exc:
+            execute_run(*jobs[1])
+        assert exc.value is fault
+
+    def test_a_fault_in_the_shared_generation_fails_the_group(self, tmp_path, monkeypatch):
+        jobs = group_jobs(tmp_path / "o", methods=("fit", "ns-sd+", "ns-ts"))
+        fault = FloatingPointError("shared batch")
+        calls = []
+        evaluate_population = evolution.evaluate_population
+
+        def dying(*args):
+            calls.append(len(args[0]))
+            if len(calls) == 2:
+                raise fault
+            return evaluate_population(*args)
+
+        monkeypatch.setattr(evolution, "evaluate_population", dying)
+        outcomes = execute_runs(jobs)
+        assert calls == [24, 18]
+        assert all(outcome is fault for outcome in outcomes)
+        for _, run_dir, _ in jobs:
+            assert "FloatingPointError: shared batch" in (run_dir / "error.txt").read_text()
+            assert not is_complete(run_dir)
+            assert [row["generation"] for row in read_generations(run_dir)] == [0]
+
+    def test_jobs_run_in_groups_of_group_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "GROUP_RUNS", 2)
+        jobs = group_jobs(tmp_path / "o", methods=("fit", "ns-ts", "ns-sd", "ns-sd+", "fit"))
+        rows = count_rows(monkeypatch)
+        outcomes = execute_runs(jobs)
+        assert all(is_complete(run_dir) for _, run_dir, _ in jobs)
+        assert [o["run_dir"] for o in outcomes] == [str(run_dir) for _, run_dir, _ in jobs]
+        # three groups of 2, 2 and 1 runs, one call each per generation
+        assert rows == [16, 12, 12] * 2 + [8, 6, 6]
 
 
 # sha256 (first 16 hex digits) of every file of a two-method batch with
@@ -1046,8 +1154,7 @@ class TestEnvOverrides:
               "--out", str(tmp_path / "flag")])
         assert read_meta(tmp_path / "flag/run_000")["seed"] == 55
 
-    @pytest.mark.parametrize("var,flag", [("SEED", "--seed"), ("RUNS", "--runs"),
-                                          ("PARALLEL", "--parallel")])
+    @pytest.mark.parametrize("var,flag", [("SEED", "--seed"), ("RUNS", "--runs")])
     def test_malformed_value_is_a_usage_error_of_run_only(
         self, tmp_path, monkeypatch, capsys, var, flag
     ):

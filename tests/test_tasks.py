@@ -21,6 +21,7 @@ from sdbc.formalism import (
 from sdbc.tasks import base, make_task
 from sdbc.simulation import normalize_angle
 from sdbc.tasks.base import (
+    MIN_PART_WORK,
     nearest_neighbor_sensor,
     pairwise_distances,
     segment_distance,
@@ -1117,7 +1118,7 @@ def test_split_batch_matches_the_whole_batch(
 @pytest.mark.parametrize("inline", ["record", "daemon", "small"])
 def test_batch_runs_inline(forks, monkeypatch, inline):
     use_cores(monkeypatch, 2)
-    if inline == "daemon":  # a --parallel pool worker
+    if inline == "daemon":  # a multiprocessing pool worker, as in the acceptance cache build
         monkeypatch.setattr(base.mp, "current_process", lambda: SimpleNamespace(daemon=True))
     if inline == "small":  # two parts of 6 trials x 60 steps would fall below it
         monkeypatch.setattr(base, "MIN_PART_WORK", 6 * 60 + 1)
@@ -1125,6 +1126,22 @@ def test_batch_runs_inline(forks, monkeypatch, inline):
     stack, networks = population(task, 12, 0)
     task.simulate(stack, list(range(12)), record=inline == "record", networks=networks)
     assert forks == []
+
+
+@pytest.mark.parametrize("genomes,splits", [(50, False), (48, False), (96, True)])
+def test_desk_batches_split_only_when_grouped(forks, monkeypatch, genomes, splits):
+    # one desk-scale run's generation (50 genomes, or 48 fresh ones after the
+    # elites, x 10 trials x 150 steps) runs whole; two runs' shared batch splits
+    monkeypatch.setattr(base, "MIN_PART_WORK", MIN_PART_WORK)
+    use_cores(monkeypatch, 2)
+    task = make_task("resource_sharing", {"max_steps": 150})
+    spec = ControllerSpec(task.n_inputs, 8, task.n_outputs)
+    weights = np.random.default_rng(0).uniform(-1, 1, (genomes, spec.genome_length))
+    stack = StackedControllers(weights, spec)
+    seeds = list(range(genomes * 10))
+    task.simulate(stack, seeds, record=False, networks=np.repeat(np.arange(genomes), 10))
+    assert len(forks) == int(splits)
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("where", ["child", "parent", "child exits"])
