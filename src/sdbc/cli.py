@@ -20,9 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
+import time
 import traceback
 from pathlib import Path
 from typing import Any, Sequence
@@ -43,10 +45,11 @@ from .evolution import (
     METHODS,
     ControllerSpec,
     EvolutionState,
+    advance_generation,
     build_controller,
+    evaluate_fresh,
     init_population,
     run_generation,
-    run_generations,
 )
 from .tasks import Task, TrialBatch, make_task
 
@@ -108,31 +111,37 @@ def execute_runs(jobs: Sequence[tuple[ExperimentConfig, str | Path, bool]]) -> l
     in consecutive groups of `GROUP_RUNS`; a group evaluates its runs' fresh
     genomes of each generation in one batch.  Returns each job's summary or
     the exception that failed it, left as `error.txt` until a success.  A
-    fault in a run's own set-up or files fails it alone; one in the shared
-    generation fails every run of the group still going."""
+    fault in a run's own set-up, selection or files fails it alone; one in
+    the shared evaluation fails every run of the group still going."""
     outcomes: list = [None] * len(jobs)
     for first in range(0, len(jobs), GROUP_RUNS):
         runs = {k: _run_steps(*jobs[k]) for k in range(len(jobs))[first:first + GROUP_RUNS]}
-        replies = dict.fromkeys(runs)  # a run's first reply starts it
+        # what each run is sent next, computed inside that run's own `try`
+        replies = dict.fromkeys(runs, lambda: None)
         while True:
             live = {}  # job index -> state, for the runs still going
             for k, reply in replies.items():
                 try:
-                    live[k] = runs[k].send(reply)
+                    live[k] = runs[k].send(reply())
                 except StopIteration as stop:
                     outcomes[k] = stop.value
                 except Exception as exc:
                     outcomes[k] = exc
             if not live:
                 break
-            states = list(live.values())
+            t0 = time.perf_counter()
             try:  # a lone run calls `run_generation`, whose calls the benchmark times
-                out = [run_generation(states[0])] if len(states) == 1 else run_generations(states)
+                if len(live) == 1:
+                    out = run_generation(*live.values())
+                    replies = dict.fromkeys(live, lambda: out)
+                else:
+                    counts = evaluate_fresh(list(live.values()))
+                    replies = {k: functools.partial(advance_generation, state, n, t0)
+                               for (k, state), n in zip(live.items(), counts)}
             except Exception as exc:
                 for k in live:
                     outcomes[k] = exc
                 break
-            replies = dict(zip(live, out))
         for k in runs:
             error_file = Path(jobs[k][1]) / "error.txt"
             with contextlib.suppress(OSError):  # e.g. the run directory is missing or a file

@@ -14,6 +14,7 @@ the next generation evaluates.  A checkpoint saves these arrays as they are.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,6 +32,9 @@ _SEED_INIT = 1
 _SEED_EVAL = 2
 _SEED_OPS = 3
 _SEED_ARCHIVE = 4
+# the hash constants of NumPy's SeedSequence, which `trial_seeds` runs on arrays
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFF_FFFF
 
 METHODS = ("fit", "ns-ts", "ns-sd", "ns-sd+")
 
@@ -141,16 +145,36 @@ def crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndar
     return np.concatenate([a[:cut], b[cut:]])
 
 
-def trial_seeds(master_seed: int, generation: int, index: int, trials: int) -> list[int]:
-    """Per-trial integer seeds keyed by (master, generation, individual, trial)."""
-    return [
-        int(
-            np.random.SeedSequence(
-                entropy=master_seed, spawn_key=(_SEED_EVAL, generation, index, t)
-            ).generate_state(1)[0]
-        )
-        for t in range(trials)
-    ]
+def trial_seeds(
+    master_seed: int, generation: int, rows: Sequence[int], trials: int
+) -> list[list[int]]:
+    """Per-trial integer seeds keyed by (master, generation, individual,
+    trial), one list per row: the first word of `SeedSequence(master_seed,
+    spawn_key=(_SEED_EVAL, generation, row, trial))`, with NumPy's hash
+    run once over the arrays of every row and trial."""
+    n_words = max(1, (master_seed.bit_length() + 31) // 32)
+    words = [master_seed >> 32 * i & _M32 for i in range(n_words)]
+    entropy = words + [0] * (4 - len(words)) + [_SEED_EVAL, generation]
+    entropy += [np.asarray(rows, np.uint64)[:, None], np.arange(trials, dtype=np.uint64)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ const, const * _MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        pool = [mix(p, hashmix(e)) for p in pool]
+    out = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _M32) & _M32
+    return (out ^ out >> 16).tolist()
 
 
 def stream_rng(master_seed: int, tag: int, *key: int) -> np.random.Generator:
@@ -330,34 +354,34 @@ def _uses_sdbc(method: str) -> bool:
 
 def run_generation(state: EvolutionState) -> tuple[GenerationStats, GenerationDetail]:
     """One full generation: evaluate, transform, score, rank, breed."""
-    return run_generations([state])[0]
-
-
-def run_generations(
-    states: Sequence[EvolutionState],
-) -> list[tuple[GenerationStats, GenerationDetail]]:
-    """One generation of each state, their fresh genomes evaluated in one
-    `evaluate_population` call.  The states share a task and controller
-    and may be at different generations; each row keeps its own state's
-    trial seeds, so each state advances bit for bit as it would alone."""
     t0 = time.perf_counter()
+    return advance_generation(state, evaluate_fresh([state])[0], t0)
+
+
+def evaluate_fresh(states: Sequence[EvolutionState]) -> list[int]:
+    """Evaluate the fresh genomes of every state in one `evaluate_population`
+    call and return how many each state had.  The states share a task and
+    controller and may be at different generations; each row keeps its own
+    state's trial seeds, so each state gets bit for bit its results alone."""
     fresh = [np.flatnonzero(~s.has_result) for s in states]
     if any(f.size for f in fresh):
         task, spec = states[0].task, states[0].spec
         if any((s.task.params, s.spec) != (task.params, spec) for s in states):
             raise ValueError("states evaluated together must share one task and controller")
-        seeds = [trial_seeds(s.master_seed, s.generation, int(i), s.trials)
-                 for s, f in zip(states, fresh) for i in f]
+        seeds = [row for s, f in zip(states, fresh)
+                 for row in trial_seeds(s.master_seed, s.generation, f, s.trials)]
         genomes = np.concatenate([s.genomes[f] for s, f in zip(states, fresh)])
         results = evaluate_population(genomes, task, spec, seeds)
         for s, f, end in zip(states, fresh, np.cumsum([f.size for f in fresh])):
             s.results.put(f, results[end - f.size:end])
             s.has_result[f] = True
-    return [_advance(s, f.size, t0) for s, f in zip(states, fresh)]
+    return [f.size for f in fresh]
 
 
-def _advance(state: EvolutionState, evaluations: int, t0: float):
-    """Rank, archive and breed a population whose rows all hold results."""
+def advance_generation(state: EvolutionState, evaluations: int, t0: float):
+    """The rest of a generation whose rows all hold results: transform,
+    score, rank, archive and breed.  `evaluations` rows were fresh, and the
+    generation's wall time runs from `t0`."""
     gen = state.generation
     ids = state.ids
     fitness = state.results.fitness

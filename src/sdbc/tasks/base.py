@@ -25,10 +25,11 @@ means from them too (`Task.feature_mean`).  The per-step features and
 raw state are kept only when `simulate(..., record=True)` asks for them.
 
 Trials never interact, so `simulate` runs a large evaluation batch
-(without `record`) as one contiguous part per usable core: the calling
-process runs the first part through the same loop (`Task._run`), a
-forked child each other part, and the parts' results are joined in trial
-order (`run_forked`).  The joined batch is bit for bit the whole batch's.
+(without `record`) as one part per usable core, part i holding every
+n-th trial from trial i: the calling process runs the first part through
+the same loop (`Task._run`), a forked child each other part, and the
+parts' results are joined in trial order (`run_forked`).  The joined
+batch is bit for bit the whole batch's.
 
 The group view is the task's formal description of one step: for each
 declared `GroupSpec`, which slots are members and their attribute
@@ -93,9 +94,10 @@ GroupView = tuple[
 
 _NO_WALLS = np.empty((0, 4))
 # Trial-steps (trials x max_steps) per part below which a batch runs whole
-# in this process.  One desk-scale run's generation (50 x 10 trials x 150
-# steps: 72,000 to 75,000) runs whole; a group of two such runs splits, as
-# a 2-way split pays from ~37,500 per part.  Forking and joining takes ~4 ms.
+# in this process.  Above 37,500, one desk-scale run's generation (50 x 10
+# trials x 150 steps: 72,000 to 75,000) runs whole; up to 72,000, a group of
+# two such runs splits.  A 2-way split measured faster down to ~18,750 per
+# part (250 desk trials).  Forking and joining takes ~4 ms.
 MIN_PART_WORK = 50_000
 # task parameters that must be > 0, besides every `*_sense` range
 _POSITIVE = ("dt", "axle", "v_max", "robot_radius", "arena_size", "zone_radius", "e_max")
@@ -182,15 +184,16 @@ class Task:
         have left the batch.  The index changes only on a step where
         trials leave, so the stack can keep its per-row weights until then.
 
-        Trials never interact, so a batch without `record` is cut into
-        contiguous parts, one per usable core and each of at least
-        `MIN_PART_WORK` trial-steps (trials x `max_steps`): this process
-        runs the first through `_run`, a forked child each other, and the
-        parts are joined in trial order into the whole batch's bits.  A
-        smaller batch, a recorded one and one in a daemonic process (a
-        multiprocessing pool worker, whose siblings fill the cores) run whole here.
-        No child outlives the call; a part that fails in a child raises
-        RuntimeError here, with the child's traceback.
+        Trials never interact, so a batch without `record` is dealt into
+        parts, one per usable core and each of at least `MIN_PART_WORK`
+        trial-steps (trials x `max_steps`), part i taking every n-th trial
+        from trial i so that each holds a share of every genome: this
+        process runs the first through `_run`, a forked child each other,
+        and the parts are joined in trial order into the whole batch's
+        bits.  A smaller batch, a recorded one and one in a daemonic process
+        (a multiprocessing pool worker, whose siblings fill the cores) run
+        whole here.  No child outlives the call; a part that fails in a
+        child raises RuntimeError here, with the child's traceback.
         """
         parts = 1
         if not record and not mp.current_process().daemon:
@@ -198,20 +201,19 @@ class Task:
             parts = min(len(os.sched_getaffinity(0)), len(seeds), work)
         if parts < 2:
             return self._run(controller, seeds, record, networks)
-        cuts = [len(seeds) * i // parts for i in range(parts + 1)]
 
-        def part(i: int) -> TrialBatch:
-            lo, hi = cuts[i], cuts[i + 1]
-            nets = None if networks is None else networks[lo:hi]
-            return self._run(controller, seeds[lo:hi], False, nets)
+        def part(i: int) -> TrialBatch:  # dealt: a share of every genome's trials
+            nets = None if networks is None else networks[i::parts]
+            return self._run(controller, seeds[i::parts], False, nets)
 
         batches = run_forked(part, parts)
-        return TrialBatch(
-            steps=np.concatenate([batch.steps for batch in batches]),
-            fitness=np.concatenate([batch.fitness for batch in batches]),
-            raw=np.concatenate([batch.raw for batch in batches]),
-            ts_chars=np.concatenate([batch.ts_chars for batch in batches]),
-        )
+        joined = {}
+        for key in ("steps", "fitness", "raw", "ts_chars"):
+            first = getattr(batches[0], key)
+            joined[key] = np.empty((len(seeds),) + first.shape[1:], first.dtype)
+            for i, batch in enumerate(batches):
+                joined[key][i::parts] = getattr(batch, key)
+        return TrialBatch(**joined)
 
     def _run(
         self,

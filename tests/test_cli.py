@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 import sdbc
-from sdbc import cli, evolution
+from sdbc import characterisation, cli, evolution
 from sdbc.cli import execute_run, execute_runs, main, replay_genome
 from sdbc.config import (
     ConfigError,
@@ -703,6 +703,33 @@ class TestGroups:
         with pytest.raises(OSError) as exc:
             execute_run(*jobs[1])
         assert exc.value is fault
+
+    def test_a_fault_in_a_runs_selection_fails_it_alone(self, tmp_path, monkeypatch):
+        # the failing run comes first, so the runs after it still advance
+        methods = ("ns-sd+", "fit", "ns-ts", "ns-sd")
+        for cfg, run_dir, resume in group_jobs(tmp_path / "solo", methods=methods):
+            execute_run(cfg, run_dir, resume)
+        jobs = group_jobs(tmp_path / "group", methods=methods)
+        fault = ZeroDivisionError("MI weights")
+        calls = []
+        compute_weights = characterisation.compute_weights
+
+        def dying(*args):  # only ns-sd+ weighs its features
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise fault
+            return compute_weights(*args)
+
+        monkeypatch.setattr(characterisation, "compute_weights", dying)
+        outcomes = execute_runs(jobs)
+        failing = jobs[0][1]
+        assert outcomes[0] is fault
+        assert "ZeroDivisionError: MI weights" in (failing / "error.txt").read_text()
+        assert [row["generation"] for row in read_generations(failing)] == [0]
+        for (_, run_dir, _), outcome in zip(jobs[1:], outcomes[1:]):
+            assert outcome["run_dir"] == str(run_dir)
+            assert not (run_dir / "error.txt").exists()
+            assert file_digests(run_dir) == file_digests(tmp_path / "solo" / run_dir.name)
 
     def test_a_fault_in_the_shared_generation_fails_the_group(self, tmp_path, monkeypatch):
         jobs = group_jobs(tmp_path / "o", methods=("fit", "ns-sd+", "ns-ts"))

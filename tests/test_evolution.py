@@ -212,13 +212,27 @@ class TestCrossover:
 
 class TestSeeds:
     def test_deterministic_and_distinct(self):
-        a = trial_seeds(42, 3, 7, 5)
-        b = trial_seeds(42, 3, 7, 5)
+        (a,) = trial_seeds(42, 3, [7], 5)
+        (b,) = trial_seeds(42, 3, [7], 5)
         assert a == b
         assert len(set(a)) == 5
-        assert trial_seeds(42, 3, 8, 5) != a
-        assert trial_seeds(42, 4, 7, 5) != a
-        assert trial_seeds(43, 3, 7, 5) != a
+        assert trial_seeds(42, 3, [8], 5) != [a]
+        assert trial_seeds(42, 4, [7], 5) != [a]
+        assert trial_seeds(43, 3, [7], 5) != [a]
+
+    @pytest.mark.parametrize("master", [0, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 99])
+    def test_each_seed_is_the_seed_sequence_word(self, master):
+        rows = np.array([0, 1, 49, 2**31 + 5])
+        seeds = trial_seeds(master, 7, rows, 4)
+        assert seeds == [
+            [
+                int(np.random.SeedSequence(master, spawn_key=(2, 7, int(r), t)).generate_state(1)[0])
+                for t in range(4)
+            ]
+            for r in rows
+        ]
+        assert all(type(s) is int for row in seeds for s in row)
+        assert trial_seeds(master, 7, [], 4) == []
 
 
 class TestEvaluate:

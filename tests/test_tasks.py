@@ -1090,7 +1090,7 @@ def population(task, trials, genome_seed):
         ("resource_sharing", DYING_SHARING, 0, 18, 2),
         ("gate_escape", OPEN_GATE, 2, 18, 2),
         ("predator_prey", {"max_steps": 150, "prey_speed_factor": 0.3}, 0, 18, 2),
-        ("resource_sharing", DYING_SHARING, 1, 17, 3),  # parts of 5, 6 and 6 trials
+        ("resource_sharing", DYING_SHARING, 1, 17, 3),  # parts of 6, 6 and 5 trials
         ("resource_sharing", DYING_SHARING, 1, 3, 4),  # fewer trials than cores
     ],
     ids=["sharing-deaths", "gate-all-escaped", "pursuit", "uneven-parts", "few-trials"],
@@ -1102,8 +1102,12 @@ def test_split_batch_matches_the_whole_batch(
     task = make_task(name, overrides)
     stack, networks = population(task, trials, genome_seed)
     seeds = list(range(100, 100 + trials))
+    here = []  # the seeds of the part this process runs
+    run = type(task)._run
+    monkeypatch.setattr(type(task), "_run", lambda self, c, s, *a: here.append(s) or run(self, c, s, *a))
     split = task.simulate(stack, seeds, record=False, networks=networks)
     assert len(forks) == min(cores, trials) - 1
+    assert here == [seeds[:: min(cores, trials)]]  # every n-th trial, so genomes spread evenly
     assert_reaped(forks)
     whole = task._run(stack, seeds, False, networks)
     if name != "predator_prey":
