@@ -78,11 +78,11 @@ def apply_standardisation(b: np.ndarray, c: StandardisationCoefficients) -> np.n
     return np.where(c.sigma > 0.0, (v - c.mu) / sigma, 0.0)
 
 
-def _quantile_bin(x: np.ndarray, n_bins: int) -> tuple[np.ndarray, int]:
-    """Equal-frequency binning with edges at the q/n_bins quantiles;
+def _bin(x: np.ndarray, quantiles: np.ndarray) -> tuple[np.ndarray, int]:
+    """Equal-frequency binning with edges at the given quantiles of `x`;
     duplicate edges collapse, so low-cardinality data gets correspondingly
     few bins.  A value sitting exactly on an edge belongs to the upper bin."""
-    edges = np.unique(np.quantile(x, np.arange(1, n_bins) / n_bins))
+    edges = np.unique(quantiles)
     return np.searchsorted(edges, x, side="right"), len(edges) + 1
 
 
@@ -93,6 +93,27 @@ def _entropy(counts: np.ndarray, n: int) -> float:
 
 def mi_bin_count(n: int, bins_min: int = 4, bins_max: int = 16) -> int:
     return int(min(max(math.ceil(math.sqrt(n)), bins_min), bins_max))
+
+
+def _mutual_information(
+    columns: np.ndarray, y: np.ndarray, bins_min: int, bins_max: int
+) -> np.ndarray:
+    """(K,) `estimate_mutual_information` of each column of the (n, K)
+    `columns` with `y`, which is binned once."""
+    n = len(y)
+    if n < 2:
+        raise ValueError("mutual information needs at least 2 samples")
+    b = mi_bin_count(n, bins_min, bins_max)
+    q = np.arange(1, b) / b
+    by, ky = _bin(y, np.quantile(y, q))
+    hy = _entropy(np.bincount(by, minlength=ky), n)
+    mi = np.empty(columns.shape[1])
+    for k, quantiles in enumerate(np.quantile(columns, q, axis=0).T):
+        bx, kx = _bin(columns[:, k], quantiles)
+        hx = _entropy(np.bincount(bx, minlength=kx), n)
+        hxy = _entropy(np.bincount(bx * ky + by, minlength=kx * ky), n)
+        mi[k] = max(0.0, hx + hy - hxy)
+    return mi
 
 
 def estimate_mutual_information(
@@ -111,17 +132,7 @@ def estimate_mutual_information(
     y = np.asarray(fitness, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("feature and fitness must be equal-length 1-d sequences")
-    n = len(x)
-    if n < 2:
-        raise ValueError("mutual information needs at least 2 samples")
-    b = mi_bin_count(n, bins_min, bins_max)
-    bx, kx = _quantile_bin(x, b)
-    by, ky = _quantile_bin(y, b)
-    joint = np.bincount(bx * ky + by, minlength=kx * ky)
-    hx = _entropy(np.bincount(bx, minlength=kx), n)
-    hy = _entropy(np.bincount(by, minlength=ky), n)
-    hxy = _entropy(joint, n)
-    return max(0.0, hx + hy - hxy)
+    return float(_mutual_information(x[:, None], y, bins_min, bins_max)[0])
 
 
 def compute_weights(
@@ -138,12 +149,7 @@ def compute_weights(
     fit = np.asarray(fitnesses, dtype=float)
     if mat.shape[0] != len(fit):
         raise ValueError("population and fitnesses differ in length")
-    mi = np.array(
-        [
-            estimate_mutual_information(mat[:, k], fit, bins_min, bins_max)
-            for k in range(mat.shape[1])
-        ]
-    )
+    mi = _mutual_information(mat, fit, bins_min, bins_max)
     return FeatureWeights(weights=delta + mi, delta=delta)
 
 

@@ -295,11 +295,6 @@ def replay_genome(
         hidden=int(header["hidden"]),
         outputs=int(header["outputs"]),
     )
-    if len(weights) != spec.genome_length:
-        raise ValueError(
-            f"genome length {len(weights)} does not match controller "
-            f"spec ({spec.genome_length})"
-        )
     if seed is None:
         seeds = header.get("trial_seeds", "")
         seed = int(seeds.split(",")[0]) if seeds else 0

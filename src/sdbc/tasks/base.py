@@ -27,9 +27,9 @@ raw state are kept only when `simulate(..., record=True)` asks for them.
 Trials never interact, so `simulate` runs a large evaluation batch
 (without `record`) as one part per usable core, part i holding every
 n-th trial from trial i: the calling process runs the first part through
-the same loop (`Task._run`), a forked child each other part, and the
-parts' results are joined in trial order (`run_forked`).  The joined
-batch is bit for bit the whole batch's.
+the same loop (`Task._run`), a child of `multiprocessing`'s fork context
+each other part, and the parts' results are joined in trial order
+(`run_forked`).  The joined batch is bit for bit the whole batch's.
 
 The group view is the task's formal description of one step: for each
 declared `GroupSpec`, which slots are members and their attribute
@@ -45,8 +45,6 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-import pickle
-import signal
 import traceback
 from dataclasses import dataclass, fields
 from itertools import combinations
@@ -191,9 +189,10 @@ class Task:
         process runs the first through `_run`, a forked child each other,
         and the parts are joined in trial order into the whole batch's
         bits.  A smaller batch, a recorded one and one in a daemonic process
-        (a multiprocessing pool worker, whose siblings fill the cores) run
-        whole here.  No child outlives the call; a part that fails in a
-        child raises RuntimeError here, with the child's traceback.
+        run whole here: `multiprocessing` lets a daemonic process (a pool
+        worker, whose siblings fill the cores) start no child.  No child
+        outlives the call; a part that fails in a child raises RuntimeError
+        here, with the child's traceback.
         """
         parts = 1
         if not record and not mp.current_process().daemon:
@@ -347,7 +346,7 @@ class Task:
         for spec, (member, attrs, props, _) in zip(
             self.group_specs(), self._groups(s), strict=True
         ):
-            slots = range(_count(None, attrs, props))
+            slots = range(1 if props is not None else attrs[0].shape[-1])
             entities = tuple(
                 EntityState(tuple(float(a[0, i]) for a in attrs), props or ())
                 for i in slots
@@ -359,75 +358,58 @@ class Task:
 
 def run_forked(part: Callable[[int], object], n: int) -> list:
     """[part(0), ..., part(n - 1)], run at the same time: part 0 in this
-    process and each other part in a child forked for it.
+    process and each other part in a child of `multiprocessing`'s fork
+    context, which sends (True, its result) or (False, its traceback)
+    through a one-way pipe.  The context is named: `part` is a closure,
+    which spawn and forkserver (the Linux default from Python 3.14) would
+    have to pickle.
 
-    A child sends its result, pickled, through a pipe and leaves only
-    through `os._exit`, so no exit hook, test runner or run writer of this
-    process runs in it.  Every child is waited for before this returns or
-    raises; if part 0 or a read fails, the children are killed first.  A
-    part that raises in its child raises RuntimeError here, with the
-    child's traceback in the message.
-
-    Forking a process that has threads is unsafe (Python 3.12 and later
-    warn about it); sdbc starts none.
+    Every child is joined before this returns or raises; if part 0 or a
+    read fails, the children are killed first.  A part that raises in its
+    child raises RuntimeError here, with the child's traceback.  Forking a
+    process that has threads is unsafe (Python 3.12 and later warn about
+    it); sdbc starts none.
     """
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    fork = mp.get_context("fork")
+
+    def send(i: int, pipe) -> None:
+        try:
+            message = (True, part(i))
+        except Exception:  # the caller raises it; the child only exits
+            message = (False, traceback.format_exc())
+        pipe.send(message)
+
+    children = []  # (process, receiving end of its pipe)
     joined = False
     try:
         for i in range(1, n):
-            children.append(_fork_part(part, i))
+            receiver, sender = fork.Pipe(duplex=False)
+            with sender:  # closed here once forked, so the pipe ends when the child does
+                child = fork.Process(target=send, args=(i, sender))
+                child.start()
+            children.append((child, receiver))
         results = [part(0)]
-        messages = [_read_all(fd) for _, fd in children]
+        messages = []
+        for _, receiver in children:
+            try:
+                messages.append(receiver.recv())
+            except EOFError:  # the child left without a result
+                messages.append(None)
         joined = True
     finally:
-        statuses = []
-        for pid, fd in children:
-            if not joined:  # a child not yet waited for can be signalled, even once exited
-                os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for i, (message, status) in enumerate(zip(messages, statuses), 1):
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0 or not message:
-            raise RuntimeError(f"batch part {i} sent no result (exit code {code})")
-        ok, value = pickle.loads(message)
+        for child, receiver in children:
+            if not joined:
+                child.kill()
+            receiver.close()
+            child.join()
+    for i, ((child, _), message) in enumerate(zip(children, messages), 1):
+        if child.exitcode != 0 or message is None:
+            raise RuntimeError(f"batch part {i} sent no result (exit code {child.exitcode})")
+        ok, value = message
         if not ok:
             raise RuntimeError(f"batch part {i} failed in its child process:\n{value}")
         results.append(value)
     return results
-
-
-def _fork_part(part: Callable[[int], object], i: int) -> tuple[int, int]:
-    """Fork a child that sends (True, part(i)), or (False, its traceback),
-    through a new pipe; returns the child's pid and the pipe's read end."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, r
-    code = 1
-    try:
-        os.close(r)
-        try:
-            message = (True, part(i))
-        except BaseException:  # the parent raises it; the child only exits
-            message = (False, traceback.format_exc())
-        with open(w, "wb") as pipe:
-            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _read_all(fd: int) -> bytes:
-    """Everything a child writes to its pipe, up to the child's exit."""
-    with open(fd, "rb", closefd=False) as pipe:
-        return pipe.read()
 
 
 def write_features(
@@ -447,6 +429,7 @@ def write_features(
     if len(view) != len(specs):
         raise ValueError(f"group view has {len(view)} groups, the task declares {len(specs)}")
     columns = []  # (values, defined), where defined None means everywhere
+    counts = []  # per group: (B,) member count, or its slot count when every slot is a member
     for spec, (member, attrs, props, _) in zip(specs, view):
         if len(attrs) != spec.kappa:
             raise ValueError(
@@ -455,19 +438,18 @@ def write_features(
             )
         if props is not None and member is not None:
             raise ValueError(f"group {spec.name!r}: a static entity is always a member")
+        slots = 1 if props is not None else attrs[0].shape[-1]
+        counts.append(slots if member is None else count_last_axis(member))
         if spec.eta_max > spec.eta_min:
-            size = _count(member, attrs, props) - spec.eta_min
-            columns.append((size / (spec.eta_max - spec.eta_min), None))
-    for member, attrs, _, _ in view:  # one member count serves all of a group's means
+            columns.append(((counts[-1] - spec.eta_min) / (spec.eta_max - spec.eta_min), None))
+    for (member, attrs, _, _), n in zip(view, counts):
         if member is None:
-            columns += [(sum_last_axis(values) / values.shape[-1], None) for values in attrs]
-            continue
-        count = count_last_axis(member)
-        denom, defined = np.maximum(count, 1), count > 0
-        columns += [(sum_last_axis(values * member) / denom, defined) for values in attrs]
-    for spec, (member, attrs, props, dist) in zip(specs, view):
+            columns += [(sum_last_axis(values) / n, None) for values in attrs]
+        else:
+            denom, defined = np.maximum(n, 1), n > 0
+            columns += [(sum_last_axis(values * member) / denom, defined) for values in attrs]
+    for spec, (member, _, _, dist), n in zip(specs, view, counts):
         if spec.eta_max > 1:
-            n = _count(member, attrs, props)
             if dist is None:
                 raise ValueError(f"group {spec.name!r}: view has no distances for its dispersion")
             if member is not None:
@@ -476,40 +458,38 @@ def write_features(
             columns.append((dist.sum(axis=(-2, -1)) / np.maximum(n - 1, 1) ** 2, n >= 2))
     for i, j in combinations(range(len(specs)), 2):
         if frozenset((specs[i].name, specs[j].name)) not in excluded:
-            columns.append(_pair_distance(view[i], view[j]))
+            columns.append(_pair_distance(view[i], view[j], counts[i] * counts[j]))
     if len(columns) != row.shape[1]:
         raise ValueError(f"group view yields {len(columns)} features, schema has {row.shape[1]}")
     for k, (values, defined) in enumerate(columns):
         row[:, k] = values if defined is None else np.where(defined, values, row[:, k])
 
 
-def _count(
-    member: np.ndarray | None, attrs: Sequence[np.ndarray], props: tuple | None
-) -> np.ndarray | int:
-    """(B,) member count of a group, or its slot count when every slot is a
-    member."""
-    if member is not None:
-        return count_last_axis(member)
-    return 1 if props is not None else attrs[0].shape[-1]
-
-
-def _pair_distance(a: GroupView, b: GroupView) -> tuple[np.ndarray, np.ndarray | None]:
+def _pair_distance(
+    a: GroupView, b: GroupView, pairs: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Mean distance over the member pairs of two groups, and where it is
-    defined."""
+    defined; `pairs` is the product of their member counts."""
     if a[2] is not None and b[2] is None:  # a body group goes first
         a, b = b, a
     (ma, attrs_a, pa, _), (mb, attrs_b, pb, _) = a, b
     if pa is not None:  # two static entities
         return geometry_distance(EntityState((), pa), EntityState((), pb)), None
-    if pb is not None:
-        return masked_mean(static_distance(attrs_a[0], attrs_a[1], pb), ma)
-    d = np.hypot(
-        attrs_a[0][..., :, None] - attrs_b[0][..., None, :],
-        attrs_a[1][..., :, None] - attrs_b[1][..., None, :],
-    )
-    flat = d.shape[:-2] + (-1,)
-    both = (True if ma is None else ma[..., :, None]) & (True if mb is None else mb[..., None, :])
-    return masked_mean(d.reshape(flat), np.broadcast_to(both, d.shape).reshape(flat))
+    if pb is not None:  # the static entity is b's one slot
+        d = static_distance(attrs_a[0], attrs_a[1], pb)[..., None]
+    else:
+        d = np.hypot(
+            attrs_a[0][..., :, None] - attrs_b[0][..., None, :],
+            attrs_a[1][..., :, None] - attrs_b[1][..., None, :],
+        )
+    if ma is not None:
+        d = d * ma[..., :, None]
+    if mb is not None:
+        d = d * mb[..., None, :]
+    total = sum_last_axis(d.reshape(d.shape[:-2] + (-1,)))
+    if ma is None and mb is None:
+        return total / pairs, None
+    return total / np.maximum(pairs, 1), pairs > 0
 
 
 def static_distance(x: np.ndarray, y: np.ndarray, props: tuple[float, ...]) -> np.ndarray:
@@ -561,18 +541,6 @@ def assemble_record(
         rec[key] = series
     rec["steps"] = steps
     return rec
-
-
-def masked_mean(
-    values: np.ndarray, mask: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mean of `values` over the last axis where `mask`; also returns the
-    defined-ness (any element selected).  A None mask selects every
-    element and is defined everywhere (None)."""
-    if mask is None:
-        return sum_last_axis(values) / values.shape[-1], None
-    count = count_last_axis(mask)
-    return sum_last_axis(values * mask) / np.maximum(count, 1), count > 0
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1014,6 +1014,17 @@ class TestReplay:
         assert main(["replay", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_genome_of_the_wrong_length_fails(self, tmp_path, capsys):
+        genome = tmp_path / "best_genome.txt"
+        length = ControllerSpec(6, 4, 2).genome_length
+        genome.write_text(
+            "# task: predator_prey\n# inputs: 6\n# hidden: 4\n# outputs: 2\n"
+            + "0.0\n" * (length - 1)
+        )
+        assert main(["replay", str(genome)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: genome length ({length - 1},) does not match spec ({length},)\n"
+
     @pytest.mark.parametrize("where", ["--config", "sibling"])
     def test_invalid_config_fails_with_diagnostic(self, tmp_path, capsys, where):
         genome = tmp_path / "best_genome.txt"

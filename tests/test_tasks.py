@@ -3,6 +3,7 @@ equivalence of the vectorised feature path with the formal extractor."""
 
 import hashlib
 import math
+import multiprocessing
 import os
 import sys
 from types import SimpleNamespace
@@ -1074,6 +1075,7 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
 
 
 def population(task, trials, genome_seed):
@@ -1132,18 +1134,33 @@ def test_batch_runs_inline(forks, monkeypatch, inline):
     assert forks == []
 
 
-@pytest.mark.parametrize("genomes,splits", [(50, False), (48, False), (96, True)])
-def test_desk_batches_split_only_when_grouped(forks, monkeypatch, genomes, splits):
+@pytest.mark.parametrize(
+    "name,max_steps,trials,genomes,splits",
+    [
+        ("resource_sharing", 150, 10, 50, False),
+        ("resource_sharing", 150, 10, 48, False),
+        ("resource_sharing", 150, 10, 96, True),
+        ("gate_escape", 300, 6, 50, False),
+        ("gate_escape", 300, 6, 48, False),
+    ],
+    ids=["50-False", "48-False", "96-True", "gate-50-False", "gate-48-False"],
+)
+def test_desk_batches_split_only_when_grouped(
+    forks, monkeypatch, name, max_steps, trials, genomes, splits
+):
     # one desk-scale run's generation (50 genomes, or 48 fresh ones after the
-    # elites, x 10 trials x 150 steps) runs whole; two runs' shared batch splits
+    # elites, x 10 trials x 150 steps) runs whole; two runs' shared batch
+    # splits.  The acceptance suite's gate runs (x 6 trials x 300 steps:
+    # 90,000 and 86,400 trial-steps) run whole too, so its daemonic spawn
+    # pool, which builds every desk run, never reaches a fork.
     monkeypatch.setattr(base, "MIN_PART_WORK", MIN_PART_WORK)
     use_cores(monkeypatch, 2)
-    task = make_task("resource_sharing", {"max_steps": 150})
+    task = make_task(name, {"max_steps": max_steps})
     spec = ControllerSpec(task.n_inputs, 8, task.n_outputs)
     weights = np.random.default_rng(0).uniform(-1, 1, (genomes, spec.genome_length))
     stack = StackedControllers(weights, spec)
-    seeds = list(range(genomes * 10))
-    task.simulate(stack, seeds, record=False, networks=np.repeat(np.arange(genomes), 10))
+    seeds = list(range(genomes * trials))
+    task.simulate(stack, seeds, record=False, networks=np.repeat(np.arange(genomes), trials))
     assert len(forks) == int(splits)
     assert_reaped(forks)
 
