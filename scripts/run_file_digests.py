@@ -17,6 +17,9 @@ to be split over the usable cores under the same comparison.  Last,
 `--method fit ns-sd+ --runs 2` at the desk shape (population 50 x 10
 trials, `max_steps` 150, 2 generations) runs four runs whose shared batch
 splits; a checkout that runs them one at a time must print the same lines.
+Each task's rate-0 batch is also put through `sdbc replay --out`, one
+trajectory CSV per run's best genome (with predator_prey's `prey` rows),
+and `sdbc analyze` over its four runs, and those files are digested too.
 
     python3 scripts/run_file_digests.py > after.txt
     (cd ../parent && python3 scripts/run_file_digests.py) > before.txt
@@ -86,27 +89,50 @@ def file_digests(root: Path):
             yield rel, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def sdbc(argv: list[str]) -> None:
+    """The `sdbc` command `argv`, its output sent to stderr."""
+    with contextlib.redirect_stdout(sys.stderr):
+        if sdbc_main(argv) != 0:
+            raise SystemExit(f"sdbc {' '.join(argv)} failed")
+
+
 def run(work: Path, cfg: dict, methods, runs: int = 1) -> Path:
     """The output directory of `sdbc run` over `cfg` with `methods`."""
     work.mkdir()
     cfg_path = work / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     out = work / "out"
-    argv = ["run", "--config", str(cfg_path), "--out", str(out), "--runs", str(runs),
-            "--method", *methods]
-    with contextlib.redirect_stdout(sys.stderr):
-        if sdbc_main(argv) != 0:
-            raise SystemExit(f"{work.name}: sdbc run failed")
+    sdbc(["run", "--config", str(cfg_path), "--out", str(out), "--runs", str(runs),
+          "--method", *methods])
     return out
+
+
+def replay_and_analyze(out: Path, work: Path) -> Path:
+    """A directory of `sdbc replay --out` of each run's best genome under
+    `out` (replay/<method>_<run>.csv) and `sdbc analyze` of those runs
+    (analysis/)."""
+    derived = work / "derived"
+    (derived / "replay").mkdir(parents=True)
+    runs = sorted(path.parent for path in out.rglob("best_genome.txt"))
+    for run_dir in runs:
+        name = run_dir.relative_to(out).as_posix().replace("/", "_")
+        sdbc(["replay", str(run_dir / "best_genome.txt"),
+              "--out", str(derived / "replay" / f"{name}.csv")])
+    sdbc(["analyze", *map(str, runs), "--out", str(derived / "analysis")])
+    return derived
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for task in TASKS:
             for rate in ARCHIVE_RATES:
-                out = run(Path(tmp) / f"{task}_{rate}", config(task, rate), METHODS)
+                work = Path(tmp) / f"{task}_{rate}"
+                out = run(work, config(task, rate), METHODS)
                 for name, digest in file_digests(out):
                     print(task, rate, name, digest)
+                if rate == 0.0:
+                    for name, digest in file_digests(replay_and_analyze(out, work)):
+                        print(task, rate, name, digest)
         for task in TASKS:
             out = run(Path(tmp) / f"{task}_paper", paper_config(task), ["fit"])
             for name, digest in file_digests(out):

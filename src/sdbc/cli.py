@@ -10,9 +10,11 @@ groups of up to `GROUP_RUNS`, whose fresh genomes each generation are
 evaluated as one trial batch, split over the usable cores when it is
 large enough; grouping cannot change any run's results.  A run that
 fails is reported and the others carry on; `run` then exits with status
-1.  `--resume` continues unfinished runs and leaves complete ones as they
-are; it refuses, before any run starts, a config that differs from a
-run's `config.yaml` in any field but `out` and `ga.generations`.
+1.  `--resume` continues unfinished runs, extends a complete run to a
+larger `ga.generations` from its last checkpoint, and leaves the other
+complete runs as they are; it refuses, before any run starts, a config
+that differs from a run's `config.yaml` in any field but `out` and
+`ga.generations`.
 """
 
 from __future__ import annotations
@@ -156,9 +158,12 @@ def execute_runs(jobs: Sequence[tuple[ExperimentConfig, str | Path, bool]]) -> l
 def _run_steps(cfg: ExperimentConfig, run_dir: str | Path, resume: bool):
     """One run as a generator: it yields its state before each generation,
     is sent back (stats, detail), and returns its summary."""
-    if resume and runio.is_complete(run_dir):
-        done = json.loads((Path(run_dir) / "done.json").read_text())
-        return {"best_fitness": done["best_fitness"], "run_dir": str(run_dir)}
+    done_file = Path(run_dir) / "done.json"
+    if resume and done_file.exists():
+        done = json.loads(done_file.read_text())
+        if done["generations"] >= cfg.ga.generations:
+            return {"best_fitness": done["best_fitness"], "run_dir": str(run_dir)}
+        done_file.unlink()  # the run is extended, and incomplete until it ends
     state = build_state(cfg)
     task = state.task
     meta = {
@@ -311,13 +316,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if args.out:
         rec = batch.record  # (T, 1, ...): one trial
+        robots = np.concatenate([rec["pos"], rec["heading"][..., None], rec["wheels"]], axis=-1)
         rows = []
-        for t in range(int(batch.steps[0])):
-            for i in range(rec["pos"].shape[2]):
-                xs = (*rec["pos"][t, 0, i], rec["heading"][t, 0, i], *rec["wheels"][t, 0, i])
-                rows.append((t, i, *(repr(float(x)) for x in xs)))
+        for t, step in enumerate(robots[:, 0].tolist()):
+            rows += [(t, i, *values) for i, values in enumerate(step)]
             if "prey" in rec:
-                rows.append((t, "prey", *(repr(float(x)) for x in rec["prey"][t, 0]), "", "", ""))
+                rows.append((t, "prey", *rec["prey"][t, 0].tolist(), "", "", ""))
         runio._write_csv(
             Path(args.out), ("step", "robot", "x", "y", "heading", "left", "right"), rows
         )
@@ -375,8 +379,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         length = min(len(c) for c in curves)
         mat = np.array([c[:length] for c in curves])
         curve_rows += [
-            (method, g, repr(float(mat[:, g].mean())), repr(float(mat[:, g].std())))
-            for g in range(length)
+            (method, g, float(mat[:, g].mean()), float(mat[:, g].std())) for g in range(length)
         ]
     runio._write_csv(
         out / "fitness_curves.csv",
@@ -386,7 +389,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     runio._write_csv(
         out / "best_fitness.csv",
         ("method", "run", "best_fitness"),
-        [(m, i, repr(value)) for m in methods for i, value in enumerate(bests[m])],
+        [(m, i, value) for m in methods for i, value in enumerate(bests[m])],
     )
 
     # pairwise Mann-Whitney comparisons of per-run best fitness
@@ -395,7 +398,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for b in methods[i + 1:]:
             u, p2 = analysis.mann_whitney_u(bests[a], bests[b], "two-sided")
             _, pg = analysis.mann_whitney_u(bests[a], bests[b], "greater")
-            test_rows.append((a, b, repr(u), repr(p2), repr(pg)))
+            test_rows.append((a, b, u, p2, pg))
     runio._write_csv(
         out / "mann_whitney.csv",
         ("method_a", "method_b", "u", "p_two_sided", "p_a_greater"),
@@ -414,7 +417,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             runio._write_csv(
                 out / f"mi_table_{method.replace('+', 'plus')}.csv",
                 ("feature", "mean_mi", "sd_mi"),
-                [(f, repr(m), repr(sd)) for f, m, sd in analysis.mi_relevance_table(records)],
+                analysis.mi_relevance_table(records),
             )
 
     # behaviour-space exploration over a shared map
@@ -455,7 +458,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             bmus = grid.bmu_batch(xs)
             for cell in range(grid.width * grid.height):
                 mask = bmus == cell
-                mean_fit = repr(float(fs[mask].mean())) if mask.any() else ""
+                mean_fit = float(fs[mask].mean()) if mask.any() else ""
                 density_rows.append(
                     (cell, method, int(counts[method][cell]), mean_fit, int(cell == best_cell))
                 )

@@ -108,13 +108,17 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     if task not in TASKS:
         raise ConfigError(f"task: unknown task {task!r}; choose from {task_names()}")
 
+    def top(key: str) -> Any:  # a top-level field, coerced to its default's type
+        default = getattr(ExperimentConfig, key)
+        return _coerce(data.get(key, default), type(default), key)
+
     cfg = ExperimentConfig(
         task=task,
         method=str(data.get("method", ExperimentConfig.method)),
-        seed=_coerce(data.get("seed", 1), int, "seed"),
-        out=str(data.get("out", "runs")),
-        dump_population=_coerce(data.get("dump_population", False), bool, "dump_population"),
-        checkpoint_every=_coerce(data.get("checkpoint_every", 10), int, "checkpoint_every"),
+        seed=top("seed"),
+        out=str(data.get("out", ExperimentConfig.out)),
+        dump_population=top("dump_population"),
+        checkpoint_every=top("checkpoint_every"),
         ga=GAConfig(**_section_fields(GAConfig, data.get("ga"), "ga")),
         novelty=NoveltyConfig(**_section_fields(NoveltyConfig, data.get("novelty"), "novelty")),
         sdbc=SdbcConfig(**_section_fields(SdbcConfig, data.get("sdbc"), "sdbc")),

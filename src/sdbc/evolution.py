@@ -42,13 +42,11 @@ METHODS = ("fit", "ns-ts", "ns-sd", "ns-sd+")
 @dataclass(frozen=True)
 class ControllerSpec:
     """Feed-forward topology; outputs map through a logistic onto the
-    actuator range."""
+    actuator range [-1, 1]."""
 
     inputs: int
     hidden: int
     outputs: int
-    out_low: float = -1.0
-    out_high: float = 1.0
 
     @property
     def genome_length(self) -> int:
@@ -87,8 +85,6 @@ class StackedControllers:
             for part in (w[:, :, :-1], w[:, :, -1])
         )
         self.k = k
-        self.out_low = spec.out_low
-        self.out_high = spec.out_high
         self._rows: np.ndarray | None = None  # the row index `_gathered` is for
         self._gathered: tuple[np.ndarray, ...] | None = None
 
@@ -105,7 +101,7 @@ class StackedControllers:
         h = np.tanh(np.einsum("ri,rhi->rh", x, w1) + b1)
         o = np.einsum("rh,roh->ro", h, w2) + b2
         logistic = 1.0 / (1.0 + np.exp(-o))
-        return self.out_low + (self.out_high - self.out_low) * logistic
+        return -1.0 + 2.0 * logistic
 
 
 def build_controller(genome: np.ndarray, spec: ControllerSpec) -> StackedControllers:
@@ -237,8 +233,8 @@ def evaluate_population(
     of different genomes never interact, so stacking them yields the same
     numbers as evaluating one genome at a time, only with the per-step
     array overhead shared across the whole generation.  For the same
-    reason `Task.simulate` may split the batch over the usable cores, one
-    contiguous part per core, and joins the parts bit for bit.
+    reason `Task.simulate` may deal the batch into parts, one per usable
+    core and each holding every n-th trial, and joins the parts bit for bit.
     """
     k = genomes.shape[0]
     if len(seeds_per_genome) != k:

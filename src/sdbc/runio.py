@@ -55,12 +55,6 @@ GENERATION_COLUMNS = (
     "evaluations",
 )
 
-def _fmt(x: Any) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _replace_file(path: Path, write: Callable[[IO], None], binary: bool = False) -> None:
     """Write `path` through a temporary sibling file, then rename it over
     `path`; on an error the temporary file goes and `path` is untouched."""
@@ -94,12 +88,12 @@ class RunWriter:
             lambda fh: yaml.safe_dump(cfg.to_dict(), fh, sort_keys=False),
         )
         _replace_file(self.dir / "meta.json", lambda fh: json.dump(meta, fh, indent=2))
-        self._gen_rows: list[list[str]] = []
-        self._timing_rows: list[list[str]] = []
+        self._gen_rows: list[list] = []
+        self._timing_rows: list[list] = []
 
     def append_generation(self, stats: GenerationStats) -> None:
-        self._gen_rows.append([_fmt(getattr(stats, c)) for c in GENERATION_COLUMNS])
-        self._timing_rows.append([_fmt(stats.generation), _fmt(stats.wall_time)])
+        self._gen_rows.append([getattr(stats, c) for c in GENERATION_COLUMNS])
+        self._timing_rows.append([stats.generation, stats.wall_time])
         self._flush_generations()
 
     def resume_generations(self, last: int) -> None:
@@ -131,12 +125,15 @@ class RunWriter:
             + [f"raw_{i}" for i in range(n_char)]
             + [f"transformed_{i}" for i in range(n_char)]
         )
-        novelty = [""] * n if detail.novelty is None else detail.novelty
-        transformed = [[""] * n_char] * n if detail.transformed is None else detail.transformed
+        novelty = [""] * n if detail.novelty is None else detail.novelty.tolist()
+        transformed = (
+            [[""] * n_char] * n if detail.transformed is None else detail.transformed.tolist()
+        )
         rows = (
-            [_fmt(v) for v in (ident, fitness, score, *ts, *raw, *tr)]
+            [ident, fitness, score, *ts, *raw, *tr]
             for ident, fitness, score, ts, raw, tr in zip(
-                detail.ids, detail.fitness, novelty, detail.ts, detail.sdbc_raw, transformed
+                detail.ids.tolist(), detail.fitness.tolist(), novelty,
+                detail.ts.tolist(), detail.sdbc_raw.tolist(), transformed,
             )
         )
         _write_csv(pop_dir / f"gen_{generation:06d}.csv", header, rows)
@@ -149,13 +146,13 @@ class RunWriter:
         feat_dir = self.dir / "features"
         feat_dir.mkdir(exist_ok=True)
         w = detail.weights
-        mi = [""] * len(schema) if w is None else w.weights - w.delta
-        weights = ["1.0"] * len(schema) if w is None else w.weights
+        mi = [""] * len(schema) if w is None else (w.weights - w.delta).tolist()
+        weights = [1.0] * len(schema) if w is None else w.weights.tolist()
         c = detail.coefficients
         _write_csv(
             feat_dir / f"gen_{generation:06d}.csv",
             ("feature", "mu", "sigma", "mi", "weight"),
-            ([_fmt(v) for v in row] for row in zip(schema, c.mu, c.sigma, mi, weights)),
+            zip(schema, c.mu.tolist(), c.sigma.tolist(), mi, weights),
         )
 
     def write_archive(self, archive: nov.NoveltyArchive) -> None:
@@ -164,10 +161,7 @@ class RunWriter:
         _write_csv(
             self.dir / "archive.csv",
             ("generation", *[f"raw_{i}" for i in range(width)]),
-            (
-                [_fmt(gen)] + [_fmt(v) for v in raw]
-                for gen, raw in zip(archive.generation, archive.raw)
-            ),
+            ([gen, *raw] for gen, raw in zip(archive.generation.tolist(), archive.raw.tolist())),
         )
 
     def write_best_genome(self, state: EvolutionState, task_name: str) -> None:
@@ -181,11 +175,11 @@ class RunWriter:
             f"# hidden: {state.spec.hidden}",
             f"# outputs: {state.spec.outputs}",
             f"# generation: {state.best_generation}",
-            f"# fitness: {_fmt(state.best_so_far)}",
+            f"# fitness: {state.best_so_far!r}",
             f"# trial_seeds: {','.join(str(s) for s in res.trial_seeds)}",
-            f"# trial_fitness: {','.join(_fmt(f) for f in res.trial_fitness)}",
+            f"# trial_fitness: {','.join(map(repr, res.trial_fitness.tolist()))}",
         ]
-        lines += [_fmt(w) for w in state.best_genome]
+        lines += map(repr, state.best_genome.tolist())
         text = "\n".join(lines) + "\n"
         _replace_file(self.dir / "best_genome.txt", lambda fh: fh.write(text))
 

@@ -236,14 +236,13 @@ class Task:
         s.feature_total = np.zeros((b, n_features))  # and the sum of the rows before it
         live = np.arange(b)
         steps = np.full(b, tau)
-        final: dict[str, np.ndarray] = {}
-        frames: list[tuple[np.ndarray, dict]] = []
+        final: dict[str, np.ndarray] = {}  # each trial's state as it ends
+        series: dict[str, np.ndarray] = {}  # with record, (max_steps, B, ...) per key
 
-        def store(trials: np.ndarray, local) -> None:
-            for key, value in vars(s).items():
-                if key not in final:
-                    final[key] = np.empty((b,) + value.shape[1:], value.dtype)
-                final[key][trials] = value[local]
+        def put(into: dict, lead: tuple, key: str, at, value: np.ndarray) -> None:
+            if key not in into:
+                into[key] = np.empty(lead + value.shape[1:], value.dtype)
+            into[key][at] = value
 
         for t in range(tau):
             x = self._sensors(s).reshape(-1, self.n_inputs)
@@ -263,17 +262,20 @@ class Task:
             s.feature_total += s.feature_row  # the row of the step before
             write_features(s.feature_row, self._groups(s), specs, excluded)
             if record:
-                frame = {key: getattr(s, key) for key in self.record_keys}
-                frames.append((live, frame | {"features": s.feature_row.copy()}))
+                for key in self.record_keys:
+                    put(series, (tau, b), key, (t, live), getattr(s, key))
+                put(series, (tau, b), "features", (t, live), s.feature_row)
             if ending.any():
                 steps[live[ending]] = t + 1
-                store(live[ending], ending)
+                for key, value in vars(s).items():
+                    put(final, (b,), key, live[ending], value[ending])
                 keep = ~ending
                 live = live[keep]
                 s = SimpleNamespace(**{k: v[keep] for k, v in vars(s).items()})
                 if not live.size:
                     break
-        store(live, slice(None))
+        for key, value in vars(s).items():
+            put(final, (b,), key, live, value)
 
         fitness, ts = self._finish(SimpleNamespace(**final), steps)
         batch = TrialBatch(
@@ -285,8 +287,12 @@ class Task:
             ts_chars=np.clip(ts, 0.0, 1.0),
         )
         if record:
-            batch.record = assemble_record(frames, steps, steps.max(initial=0))
+            length = steps.max(initial=0)
+            batch.record = {key: value[:length] for key, value in series.items()}
+            for value in batch.record.values():
+                hold_final_rows(value, steps)
             batch.features = batch.record.pop("features")
+            batch.record["steps"] = steps
         return batch
 
     def _reset(self, seeds: Sequence[int]) -> SimpleNamespace:
@@ -525,22 +531,6 @@ def hold_final_rows(series: np.ndarray, steps: np.ndarray) -> None:
     final row, in place."""
     for b in np.nonzero(steps < len(series))[0]:
         series[steps[b]:, b] = series[steps[b] - 1, b]
-
-
-def assemble_record(
-    frames: list[tuple[np.ndarray, dict]], steps: np.ndarray, length: int
-) -> dict:
-    """Per-step (live trials, state dict) frames to one dict of full-size
-    (T, B, ...) arrays, past-end rows held at the final row, plus `steps`."""
-    rec = {}
-    for key, first in frames[0][1].items():
-        series = np.empty((length, len(steps)) + first.shape[1:], first.dtype)
-        for t, (live, frame) in enumerate(frames):
-            series[t, live] = frame[key]
-        hold_final_rows(series, steps)
-        rec[key] = series
-    rec["steps"] = steps
-    return rec
 
 
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from sdbc import characterisation, cli, evolution
 from sdbc.cli import execute_run, execute_runs, main, replay_genome
 from sdbc.config import (
     ConfigError,
+    ExperimentConfig,
     config_from_dict,
     default_config_text,
     load_config,
@@ -72,6 +73,9 @@ class TestConfig:
         assert cfg.method == "ns-sd+"
         assert cfg.ga.population == 100
         assert cfg.sdbc.delta == 0.25
+
+    def test_empty_config_is_the_default(self):
+        assert config_from_dict({}) == ExperimentConfig()
 
     def test_unknown_method_names_field(self):
         with pytest.raises(ConfigError, match="method"):
@@ -306,6 +310,34 @@ class TestRun:
         cfg_path = write_config(tmp_path, {"ga.generations": 3})
         assert main(["run", "--config", str(cfg_path), "--out", "o", "--resume"]) == 0
         assert [row["generation"] for row in read_generations(run)] == [0, 1, 2]
+
+    def test_resume_extends_a_complete_run(self, tmp_path):
+        # done.json records fewer generations than the config asks for, so
+        # the run goes on from its last checkpoint as if it never stopped
+        two = write_config(tmp_path, {"ga.generations": 2})
+        assert main(["run", "--config", str(two), "--out", str(tmp_path / "extended")]) == 0
+        four = write_config(tmp_path, {"ga.generations": 4})
+        assert main(["run", "--config", str(four), "--out", str(tmp_path / "straight")]) == 0
+        assert main([
+            "run", "--config", str(four), "--out", str(tmp_path / "extended"), "--resume"
+        ]) == 0
+        run = tmp_path / "extended/run_000"
+        assert [row["generation"] for row in read_generations(run)] == [0, 1, 2, 3]
+        straight, extended = file_digests(tmp_path / "straight/run_000"), file_digests(run)
+        assert any(name.startswith("checkpoint.npz:") for name in extended)
+        del straight["config.yaml"], extended["config.yaml"]  # they name their own `out`
+        assert extended == straight
+
+    @pytest.mark.parametrize("generations", [2, 1])
+    def test_resume_leaves_a_complete_run_as_it_is(self, tmp_path, generations):
+        out = tmp_path / "o"
+        cfg_path = write_config(tmp_path, {"ga.generations": 2})
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        run = out / "run_000"
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        cfg_path = write_config(tmp_path, {"ga.generations": generations})
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--resume"]) == 0
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
     def test_crash_during_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, {"ga.generations": 5}, checkpoint_every=2)
@@ -842,6 +874,7 @@ RUN_FILE_PINS = {
     "o/ns-sdplus/run_000/population/gen_000000.csv": "c39a157033e7a3ed",
     "o/ns-sdplus/run_000/population/gen_000001.csv": "e8ab9690639dcd30",
     "o/ns-sdplus/run_000/population/gen_000002.csv": "80f30994b212f637",
+    "trajectory.csv": "bd9f37f8b6c698f3",
 }
 
 
@@ -865,8 +898,9 @@ def file_digests(root: Path) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def pinned_batch(tmp_path_factory):
-    """The RUN_FILE_PINS batch: `run --method ns-sd ns-sd+` and `analyze`,
-    with relative paths, so config.yaml holds no temporary directory."""
+    """The RUN_FILE_PINS batch: `run --method ns-sd ns-sd+`, `analyze` and
+    `replay --out` of one best genome, with relative paths, so config.yaml
+    holds no temporary directory."""
     cfg_path = tmp_path_factory.mktemp("pinned_config") / "config.yaml"
     cfg_path.write_text(yaml.safe_dump({**TINY, "novelty": {"archive_rate": 0.5}}))
     work = tmp_path_factory.mktemp("pinned")
@@ -880,6 +914,9 @@ def pinned_batch(tmp_path_factory):
         assert main([
             "analyze", *runs, "--out", "analysis", "--som-epochs", "2",
             "--som-width", "3", "--som-height", "3",
+        ]) == 0
+        assert main([
+            "replay", "o/ns-sd/run_000/best_genome.txt", "--out", "trajectory.csv"
         ]) == 0
     finally:
         os.chdir(cwd)
