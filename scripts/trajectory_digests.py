@@ -8,8 +8,9 @@ characterisations, per-trial fitness), and one genome's trials through
 `Task.simulate(..., record=True)` (steps, fitness, characterisations,
 per-step features and every recorded state array).  The configurations
 cover every task, both feature layouts, spawn clearance, one robot, the
-8-or-more-robot sizes at which NumPy switches to pairwise summation, and
-gate trials that end with every robot escaped.
+8-or-more-robot sizes at which NumPy switches to pairwise summation, gate
+trials that end with every robot escaped, and a crowded sharing box with a
+clearance, where some robots take the draw after the 200 spawn tries.
 
     python3 scripts/trajectory_digests.py > after.txt
     (cd ../parent && python3 scripts/trajectory_digests.py) > before.txt
@@ -59,7 +60,12 @@ CONFIGS = [
     ("predator_prey", {**SLOW_PREY, "n_predators": 1}),
     ("predator_prey", {**SLOW_PREY, "n_predators": 8}),
     ("predator_prey", {**SLOW_PREY, "n_predators": 8, "published_layout": False}),
-    ("gate_escape", OPEN_GATE),  # last, so the seeds of the others keep their index
+    ("gate_escape", OPEN_GATE),  # after the others, so their seeds keep their index
+    # appended for the same reason: seven robots kept 0.25 from the station
+    # of a 0.6 box, where on some trials the 200 spawn tries find no legal
+    # point and a robot takes the draw after them
+    ("resource_sharing",
+     {"arena_size": 0.6, "n_robots": 7, "spawn_clearance": 0.25, "max_steps": 150}),
 ]
 
 

@@ -576,39 +576,6 @@ def nearest_neighbor_sensor(
     return out.reshape(b, n, 2 * slots)
 
 
-class TrialDraws:
-    """Each trial's stream of `default_rng(seed).random()` draws, read in
-    order through a per-trial cursor.
-
-    Every stream is drawn ahead as one block.  A trial that reads past its
-    block re-seeds and draws a block twice as long, whose first part
-    repeats what it has already read, so no generator outlives a call.
-    """
-
-    def __init__(self, seeds: Sequence[int], block: int) -> None:
-        self.seeds = seeds
-        self.block = np.empty((len(seeds), block))
-        for b, seed in enumerate(seeds):
-            self.block[b] = np.random.default_rng(seed).random(block)
-        self.filled = np.full(len(seeds), block)
-        self.cursor = np.zeros(len(seeds), dtype=np.int64)
-
-    def take(self, trials: np.ndarray, count: int) -> np.ndarray:
-        """The next `count` draws of each of `trials`: (len(trials), count)."""
-        end = self.cursor[trials] + count
-        for b in trials[end > self.filled[trials]]:
-            length = max(2 * self.filled[b], self.cursor[b] + count)
-            if length > self.block.shape[1]:
-                wider = np.empty((len(self.seeds), length))
-                wider[:, : self.block.shape[1]] = self.block
-                self.block = wider
-            self.block[b, :length] = np.random.default_rng(self.seeds[b]).random(length)
-            self.filled[b] = length
-        drawn = self.block[trials[:, None], self.cursor[trials][:, None] + np.arange(count)]
-        self.cursor[trials] = end
-        return drawn
-
-
 def spawn_in_box(
     seeds: Sequence[int],
     n: int,
@@ -621,41 +588,38 @@ def spawn_in_box(
 
     Each trial draws from its own `default_rng(seed)`, in this order.  Its
     robots are placed one at a time, uniformly inside the (size x size)
-    box a margin off its walls: a point closer than 2.2 radii to a robot
-    already placed is redrawn, up to 200 tries, after which one more draw
-    is accepted as it is (a crowded box).  A robot closer than `clearance`
-    to the point `keep_out` is then redrawn until it is not, robot by
-    robot.  The headings are drawn last.  The batch is placed robot k of
-    every trial at a time, each trial reading its own stream, so a trial's
-    start does not depend on the other seeds of its batch.
+    box a margin off its walls, by one rule: a point is legal if it lies
+    at least 2.2 radii from every robot already placed and at least
+    `clearance` from the point `keep_out`.  Up to 200 points are tried;
+    if none is legal, one more draw is accepted as it is (a crowded box or
+    a clearance wider than the box allows).  The headings are drawn last.
+    The batch is placed robot k of every trial at a time, each trial
+    reading its own stream, so a trial's start does not depend on the
+    other seeds of its batch.
     """
     margin = radius + 0.01
     low = np.array((margin, margin))
     span = np.array((size - margin, size - margin)) - low  # uniform(low, high) is low + span*u
+    streams = [np.random.default_rng(seed) for seed in seeds]
+
+    def draw(trials: np.ndarray, count: int) -> np.ndarray:
+        """The next `count` draws of each of `trials`: (len(trials), count)."""
+        return np.array([streams[b].random(count) for b in trials]).reshape(len(trials), count)
+
     everyone = np.arange(len(seeds))
-    # two draws per point and one per heading, plus room for a few redraws
-    draws = TrialDraws(seeds, 4 * n)
     pos = np.empty((len(seeds), n, 2))
     for k in range(n):
         pending = everyone
         for _ in range(200):
-            p = low + span * draws.take(pending, 2)
+            p = low + span * draw(pending, 2)
             gap = np.hypot(p[:, None, 0] - pos[pending, :k, 0], p[:, None, 1] - pos[pending, :k, 1])
-            apart = (gap >= 2.2 * radius).all(axis=1)
-            pos[pending[apart], k] = p[apart]
-            pending = pending[~apart]
+            legal = (gap >= 2.2 * radius).all(axis=1)
+            legal &= np.hypot(p[:, 0] - keep_out[0], p[:, 1] - keep_out[1]) >= clearance
+            pos[pending[legal], k] = p[legal]
+            pending = pending[~legal]
             if not pending.size:
                 break
         else:
-            pos[pending, k] = low + span * draws.take(pending, 2)  # crowded box: accept overlap
-    if clearance > 0.0:  # skips the per-robot distance checks when nothing is kept out
-        for k in range(n):
-            pending = everyone
-            while True:
-                x, y = pos[pending, k, 0] - keep_out[0], pos[pending, k, 1] - keep_out[1]
-                pending = pending[np.hypot(x, y) < clearance]
-                if not pending.size:
-                    break
-                pos[pending, k] = low + span * draws.take(pending, 2)
-    heading = -math.pi + 2.0 * math.pi * draws.take(everyone, n)
+            pos[pending, k] = low + span * draw(pending, 2)  # no legal point: accept one as is
+    heading = -math.pi + 2.0 * math.pi * draw(everyone, n)
     return pos, heading

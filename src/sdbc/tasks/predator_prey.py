@@ -20,7 +20,7 @@ from ..simulation import (
     sum_axis1,
     sum_last_axis,
 )
-from .base import GroupView, Task, TrialDraws, nearest_neighbor_sensor
+from .base import GroupView, Task, nearest_neighbor_sensor
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,10 @@ class PredatorPreyTask(Task):
 
     def _initial_prey(self, seeds: Sequence[int]) -> np.ndarray:
         """(B, 2) prey starts: a radius, then an angle, each drawn as
-        `uniform` draws it (low + (high - low)*u) from the trial's
-        `default_rng(seed)`."""
+        `uniform` draws it (low + (high - low)*u) from the first two
+        `random()` draws of the trial's own `default_rng(seed)`."""
         p = self.params
-        u = TrialDraws(seeds, 2).take(np.arange(len(seeds)), 2)
+        u = np.array([np.random.default_rng(seed).random(2) for seed in seeds]).reshape(-1, 2)
         r = p.prey_spawn_min + (p.prey_spawn_max - p.prey_spawn_min) * u[:, 0]
         a = (-math.pi + 2.0 * math.pi * u[:, 1]).tolist()
         # math's cos and sin: numpy's may differ from them in the last bit
@@ -94,7 +94,8 @@ class PredatorPreyTask(Task):
         b, n = len(seeds), self.params.n_predators
         pos = np.broadcast_to(self.start_pos, (b, n, 2)).copy()
         prey = self._initial_prey(seeds)
-        d0 = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
+        deltas = pos - prey[:, None, :]
+        d0 = np.sqrt(sum_last_axis(deltas * deltas))
         d_initial = sum_last_axis(d0) / n
         return SimpleNamespace(
             pos=pos,
@@ -114,7 +115,7 @@ class PredatorPreyTask(Task):
         p = self.params
         pos, heading, prey = s.pos, s.heading, s.prey
         x = np.empty(pos.shape[:2] + (6,))
-        # the hypot distance measured after the last move; a caught prey is absent
+        # the distance measured after the last move; a caught prey is absent
         dist = np.where(s.present[:, None], s.prey_dist, np.inf)
         range_bearing_arrays(
             prey[:, None, 0] - pos[..., 0], prey[:, None, 1] - pos[..., 1], heading,
@@ -151,7 +152,8 @@ class PredatorPreyTask(Task):
         )
         s.prey_lin = np.where(moving, prey_speed, 0.0)
 
-        pd = np.hypot(pos[..., 0] - prey[:, None, 0], pos[..., 1] - prey[:, None, 1])
+        deltas = pos - prey[:, None, :]
+        pd = np.sqrt(sum_last_axis(deltas * deltas))
         s.prey_dist = pd  # the next step's sensors read it
         caught = s.present & (min_last_axis(pd) <= 2.0 * p.robot_radius)
         escaped = s.present & ~caught & (np.hypot(prey[:, 0], prey[:, 1]) > p.zone_radius)

@@ -36,7 +36,7 @@ class ResourceSharingParams:
     dt: float = 0.1
     neighbor_sense: float = 1.0
     station_sense: float = 1.0   # station (and its occupancy) visible inside this radius
-    spawn_clearance: float = 0.0  # minimum spawn distance from the station
+    spawn_clearance: float = 0.0  # minimum spawn distance from the station, kept within 200 tries
 
 
 def sharing_fitness(s, mean_energy, e_max: float, n: int) -> np.ndarray | float:

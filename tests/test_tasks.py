@@ -5,6 +5,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import signal
 import sys
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from sdbc.formalism import (
     extract_feature_series,
 )
 from sdbc.tasks import base, make_task
-from sdbc.simulation import normalize_angle
+from sdbc.simulation import normalize_angle, range_bearing_arrays
 from sdbc.tasks.base import (
     MIN_PART_WORK,
     nearest_neighbor_sensor,
@@ -133,7 +134,7 @@ class TestPreyPolicy:
 
 def spawn_in_box_reference(seeds, n, size, radius, keep_out, clearance):
     """Frozen per-trial placement loop: one generator per trial, one
-    pair of draws per candidate point, one pair distance at a time."""
+    pair of draws per candidate point, one distance at a time."""
     margin = radius + 0.01
     low, high = (margin, margin), (size - margin, size - margin)
     pos, heading = np.empty((len(seeds), n, 2)), np.empty((len(seeds), n))
@@ -143,15 +144,14 @@ def spawn_in_box_reference(seeds, n, size, radius, keep_out, clearance):
         for _ in range(n):
             for _ in range(200):
                 p = rng.uniform(low, high)
-                if all(np.hypot(*(p - q)) >= 2.2 * radius for q in placed):
+                if np.hypot(*(p - keep_out)) >= clearance and all(
+                    np.hypot(*(p - q)) >= 2.2 * radius for q in placed
+                ):
                     placed.append(p)
                     break
             else:
                 placed.append(rng.uniform(low, high))
         pos[b] = placed
-        for i in range(n):
-            while clearance > 0.0 and np.hypot(*(pos[b, i] - keep_out)) < clearance:
-                pos[b, i] = rng.uniform(low, high)
         heading[b] = rng.uniform(-math.pi, math.pi, n)
     return pos, heading
 
@@ -165,22 +165,39 @@ def spawn_in_box_reference(seeds, n, size, radius, keep_out, clearance):
 def test_random_positions_match_the_pairwise_loop(n, size, clearance, seeds):
     # equal headings, drawn last, show that each trial's stream was read
     # to the same point, including where the 200 tries run out (crowded)
-    # and where robots are redrawn away from the kept-out point
+    # and where points too close to the kept-out point are redrawn
     radius, keep_out = 0.05, (0.5 * size, 0.5 * size)
     trials = list(range(seeds))
     pos, heading = spawn_in_box(trials, n, size, radius, keep_out, clearance)
     ref_pos, ref_heading = spawn_in_box_reference(trials, n, size, radius, keep_out, clearance)
     assert np.array_equal(pos, ref_pos)
     assert np.array_equal(heading, ref_heading)
-    if not clearance:  # a clearance redraw does not look at the other robots
-        i, j = np.triu_indices(n, 1)
-        gaps = pairwise_distances(pos[..., 0], pos[..., 1])[:, i, j]
-        assert (gaps < 2.2 * radius).any() == (size == 0.35)
+    i, j = np.triu_indices(n, 1)
+    gaps = pairwise_distances(pos[..., 0], pos[..., 1])[:, i, j]
+    assert (gaps < 2.2 * radius).any() == (size == 0.35)
     near = np.hypot(pos[..., 0] - keep_out[0], pos[..., 1] - keep_out[1])
     assert (near >= clearance).all()
     # a trial's start does not depend on the other seeds of its batch
     alone = spawn_in_box(trials[-1:], n, size, radius, keep_out, clearance)
     assert np.array_equal(alone[0][0], pos[-1]) and np.array_equal(alone[1][0], heading[-1])
+
+
+def test_a_clearance_wider_than_the_box_still_places_every_robot():
+    # no point of the box is 2.0 from its centre, so every robot takes the
+    # draw after its 200 tries; the alarm fails a placement that never ends
+    def too_long(signum, frame):
+        raise TimeoutError("spawn_in_box did not return")
+
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(10)
+    try:
+        pos, heading = spawn_in_box(list(range(20)), 4, 2.0, 0.05, (1.0, 1.0), 2.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    ref_pos, ref_heading = spawn_in_box_reference(list(range(20)), 4, 2.0, 0.05, (1.0, 1.0), 2.0)
+    assert np.array_equal(pos, ref_pos) and np.array_equal(heading, ref_heading)
+    assert ((pos >= 0.06) & (pos <= 1.94)).all()
 
 
 def initial_prey_reference(params, seeds):
@@ -440,9 +457,9 @@ TRAJECTORY_PINS = [
     ("gate_escape", {**FAST_GATE, "published_layout": False}, 0,
      "47ea2b388e1a62a922a6417fbd39004ecb4ac9c0f6229c217d84acabd857ca8c"),
     ("predator_prey", SLOW_PREY, None,
-     "765f1c35773f3bd7c0848b4584c61d81970676d701aa89f74c4f3f69d434924b"),
+     "dc2be85a608081ccf131832e04e88a204723f09e8655321a71df4960d5985695"),
     ("predator_prey", {**SLOW_PREY, "published_layout": False}, None,
-     "e55f22c4e8b5050aae9ffe708ba2f11d157ffe2007e39ef32d7363458d2267b1"),
+     "5b2373257fddc623c298c4bab466979c4cd5497578163f4755ed329328735ca5"),
 ]
 # More pins, at 8 or more robots: NumPy sums a last axis of that length
 # pairwise, and the step loop's column sums must follow it there too.
@@ -450,7 +467,7 @@ PAIRWISE_PINS = [
     ("gate_escape", {**FAST_GATE, "n_robots": 10}, 0,
      "481be8401e64fc184093534a7cb5b913a898723779d64664510f0b4f92cab2eb"),
     ("predator_prey", {**SLOW_PREY, "n_predators": 8}, None,
-     "f29cc9b011dba2227b0bb0b9043bbe766e36515623dade544935e9b2dbc28b57"),
+     "b9be41828954f3520d502e2f46a3f54b0342a050a10ec900cc254ddc36ee32e6"),
 ]
 
 
@@ -464,6 +481,28 @@ def test_trajectories_match_their_pins(name, overrides, genome_seed, digest):
     for a in (batch.steps, batch.fitness, batch.ts_chars, batch.features):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == digest
+
+
+def test_pursuit_senses_the_prey_at_the_distance_range_bearing_measures():
+    # the prey distance the step carries to the sensors is the one
+    # range_bearing_arrays measures itself, sqrt(dx*dx + dy*dy), to the bit
+    task = make_task("predator_prey", SLOW_PREY)
+    seen = []
+    sensors = task._sensors
+
+    def spy(s):
+        seen.append((s.pos.copy(), s.heading.copy(), s.prey.copy(), s.prey_dist.copy()))
+        return sensors(s)
+
+    task._sensors = spy
+    batch = task.simulate(chase_prey, list(range(8)), record=True)
+    assert len(seen) == batch.steps.max() and len(set(batch.steps.tolist())) >= 3
+    for pos, heading, prey, prey_dist in seen:
+        dx, dy = prey[:, None, 0] - pos[..., 0], prey[:, None, 1] - pos[..., 1]
+        out = np.empty(dx.shape + (2,))
+        # a power-of-two range: range / max_range is the distance, exactly scaled
+        range_bearing_arrays(dx, dy, heading, 1024.0, out=out)
+        assert np.array_equal(out[..., 0] * 1024.0, prey_dist)
 
 
 def in_trial_mask(rec):
@@ -803,20 +842,25 @@ def test_neighbor_sensor_matches_its_own_distance_reference(n, slots):
 
 def test_gate_and_sharing_spawn_through_one_routine():
     # both tasks place robots the same way, so with no keep-out zone the
-    # same seeds give the same start poses; a clearance only redraws the
-    # robots too close to the station
-    seeds = list(range(40))
+    # same seeds give the same start poses; a clearance rejects only the
+    # points too close to the station
+    seeds = list(range(400))
     gate = make_task("gate_escape")._reset(seeds)
     sharing = make_task("resource_sharing")._reset(seeds)
     assert np.array_equal(gate.pos, sharing.pos)
     assert np.array_equal(gate.heading, sharing.heading)
     task = make_task("resource_sharing", {"spawn_clearance": 0.6})
-    cleared = task._reset(seeds).pos
-    to_station = np.hypot(*np.moveaxis(cleared - np.array(task.station), -1, 0))
+    cleared = task._reset(seeds)
+    to_station = np.hypot(*np.moveaxis(cleared.pos - np.array(task.station), -1, 0))
     assert (to_station >= 0.6).all()
-    kept = np.hypot(*np.moveaxis(sharing.pos - np.array(task.station), -1, 0)) >= 0.6
-    assert 0 < kept.sum() < kept.size
-    assert np.array_equal(cleared[kept], sharing.pos[kept])
+    # a trial none of whose robots fell inside the clearance read the same
+    # draws, so it starts identically, headings included
+    outside = np.hypot(*np.moveaxis(sharing.pos - np.array(task.station), -1, 0)) >= 0.6
+    kept = outside.all(axis=1)
+    assert 0 < kept.sum() < len(seeds)
+    assert np.array_equal(cleared.pos[kept], sharing.pos[kept])
+    assert np.array_equal(cleared.heading[kept], sharing.heading[kept])
+    assert not np.array_equal(cleared.heading[~kept], sharing.heading[~kept])
 
 
 def reference_segment_distance(x, y, segments):
